@@ -271,25 +271,6 @@ void BM_MptcpBulkFlow1MB(benchmark::State& state) {
 }
 BENCHMARK(BM_MptcpBulkFlow1MB);
 
-// Campaign wall-clock vs worker count.  The range argument is the
-// parallelism knob (0 = serial); output is bit-identical across all of
-// them, so the only thing that may change is the wall time.  On a
-// multi-core host, 4 workers should show >= 2x over serial.
-void BM_CampaignRuns(benchmark::State& state) {
-  const std::vector<ClusterSpec> world{
-      make_cluster("A", {40.0, -70.0}, 12, 0.10, 14.0),
-      make_cluster("B", {10.0, 100.0}, 12, 0.85, 4.0)};
-  CampaignOptions opt;
-  opt.incomplete_probability = 0.0;
-  opt.parallelism = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    const auto runs = run_campaign(world, opt);
-    benchmark::DoNotOptimize(runs.size());
-  }
-}
-BENCHMARK(BM_CampaignRuns)->Arg(0)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond)
-    ->MeasureProcessCPUTime()->UseRealTime();
-
 // In-memory lookup cost of the result store: the per-run overhead a
 // warm campaign pays instead of simulating.  1024 resident entries,
 // alternating hits; should stay well under a microsecond.

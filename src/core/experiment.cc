@@ -4,7 +4,7 @@
 
 #include "faults/fault_injector.hpp"
 #include "store/codec.hpp"
-#include "util/parallel.hpp"
+#include "store/memoize.hpp"
 
 namespace mn {
 namespace {
@@ -161,43 +161,15 @@ std::vector<SweepPoint> sweep_flow_sizes(const MpNetworkSetup& net,
                                          const SweepOptions& options) {
   // Each point is a pure function of (net, config, bytes, dir): a fresh
   // private Simulator per point, the shared setup read-only.
-  auto simulate = [&](std::int64_t bytes) {
-    Simulator sim;  // fresh world per point: identical starting conditions
-    const auto r = run_transport_flow(sim, net, config, bytes, options.dir);
-    return SweepPoint{bytes, r.throughput_mbps, r.completion_time};
-  };
-  if (options.store == nullptr) {
-    return parallel_map(sizes.size(), options.parallelism,
-                        [&](std::size_t i) { return simulate(sizes[i]); });
-  }
-  // Cache-aware sweep, same shape as run_campaign: hits resolved up
-  // front, only the misses simulated, results reassembled in size order.
-  std::vector<store::ScenarioKey> keys(sizes.size());
-  std::vector<SweepPoint> points(sizes.size());
-  std::vector<std::size_t> missing;
-  for (std::size_t i = 0; i < sizes.size(); ++i) {
-    keys[i] = sweep_scenario_key(net, config, sizes[i], options.dir);
-  }
-  const auto blobs = options.store->lookup_many(keys);
-  for (std::size_t i = 0; i < sizes.size(); ++i) {
-    if (blobs[i]) {
-      try {
-        points[i] = parse_sweep_point(*blobs[i]);
-        continue;
-      } catch (const std::exception&) {
-        // Undecodable blob = miss; superseded by the fresh result below.
-      }
-    }
-    missing.push_back(i);
-  }
-  const std::vector<SweepPoint> fresh =
-      parallel_map(missing.size(), options.parallelism,
-                   [&](std::size_t j) { return simulate(sizes[missing[j]]); });
-  for (std::size_t j = 0; j < missing.size(); ++j) {
-    options.store->put(keys[missing[j]], serialize_sweep_point(fresh[j]));
-    points[missing[j]] = fresh[j];
-  }
-  return points;
+  return store::memoized_map(
+      sizes.size(), options.store, options.parallelism,
+      [&](std::size_t i) { return sweep_scenario_key(net, config, sizes[i], options.dir); },
+      [&](std::size_t i) {
+        Simulator sim;  // fresh world per point: identical starting conditions
+        const auto r = run_transport_flow(sim, net, config, sizes[i], options.dir);
+        return SweepPoint{sizes[i], r.throughput_mbps, r.completion_time};
+      },
+      serialize_sweep_point, parse_sweep_point);
 }
 
 std::vector<SweepPoint> sweep_flow_sizes(const MpNetworkSetup& net,

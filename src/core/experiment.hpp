@@ -71,10 +71,10 @@ struct SweepOptions {
   /// follow MN_THREADS.  Each point builds a private Simulator from the
   /// shared-immutable setup, so results are bit-identical at any value.
   int parallelism = -1;
-  /// Optional result store: each point is looked up before simulating
-  /// and appended on miss.  Figure benches sharing one store then pay
-  /// for each (net, config, size, dir) point once across the suite.
-  /// Not owned.
+  /// Optional result store, consulted through store::memoized_map:
+  /// hits replay, misses simulate and are put.  Figure benches sharing
+  /// one store then pay for each (net, config, size, dir) point once
+  /// across the suite.  Not owned.
   store::Store* store = nullptr;
 };
 

@@ -9,7 +9,7 @@
 #include "net/trace_gen.hpp"
 #include "obs/obs.hpp"
 #include "store/codec.hpp"
-#include "util/parallel.hpp"
+#include "store/memoize.hpp"
 #include "util/rng.hpp"
 
 namespace mn {
@@ -247,47 +247,21 @@ ChaosRunReport parse_chaos_report(std::string_view blob) {
 }
 
 ChaosSoakSummary run_chaos_soak(const ChaosSoakOptions& options) {
-  // Parallel execute phase: each run is seeded independently and owns
-  // all of its state; the serial reduction below keeps the summary (and
-  // the order of violation reports) identical at any worker count.
+  // Each run is seeded independently and owns all of its state; the
+  // serial reduction below keeps the summary (and the order of violation
+  // reports) identical at any worker count.  A cache hit re-writes its
+  // flight-dump black box, exactly as the run itself would have.
   const std::size_t n = options.runs > 0 ? static_cast<std::size_t>(options.runs) : 0;
-  std::vector<ChaosRunReport> reports;
-  if (options.store == nullptr) {
-    reports = parallel_map(n, options.parallelism, [&](std::size_t i) {
-      return run_chaos_run(options.seed + static_cast<std::uint64_t>(i), options);
-    });
-  } else {
-    // Cache-aware soak: hits replay their report (and re-write their
-    // flight-dump black box), only the misses execute.
-    std::vector<std::uint64_t> seeds(n);
-    std::vector<store::ScenarioKey> keys(n);
-    reports.resize(n);
-    std::vector<std::size_t> missing;
-    for (std::size_t i = 0; i < n; ++i) {
-      seeds[i] = options.seed + static_cast<std::uint64_t>(i);
-      keys[i] = chaos_scenario_key(seeds[i], options);
-    }
-    const auto blobs = options.store->lookup_many(keys);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (blobs[i]) {
-        try {
-          reports[i] = parse_chaos_report(*blobs[i]);
-          write_flight_dump(reports[i], options.flight_dump_dir);
-          continue;
-        } catch (const std::exception&) {
-          // Undecodable blob = miss; superseded by the fresh run below.
-        }
-      }
-      missing.push_back(i);
-    }
-    std::vector<ChaosRunReport> fresh =
-        parallel_map(missing.size(), options.parallelism,
-                     [&](std::size_t j) { return run_chaos_run(seeds[missing[j]], options); });
-    for (std::size_t j = 0; j < missing.size(); ++j) {
-      options.store->put(keys[missing[j]], serialize_chaos_report(fresh[j]));
-      reports[missing[j]] = std::move(fresh[j]);
-    }
-  }
+  auto seed_of = [&](std::size_t i) { return options.seed + static_cast<std::uint64_t>(i); };
+  const std::vector<ChaosRunReport> reports = store::memoized_map(
+      n, options.store, options.parallelism,
+      [&](std::size_t i) { return chaos_scenario_key(seed_of(i), options); },
+      [&](std::size_t i) { return run_chaos_run(seed_of(i), options); }, serialize_chaos_report,
+      [&](std::string_view blob) {
+        ChaosRunReport report = parse_chaos_report(blob);
+        write_flight_dump(report, options.flight_dump_dir);
+        return report;
+      });
   ChaosSoakSummary summary;
   for (const ChaosRunReport& report : reports) {
     ++summary.runs;

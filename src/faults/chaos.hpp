@@ -48,8 +48,8 @@ struct ChaosSoakOptions {
   /// When non-empty and a dump was taken, also write it to
   /// `<dir>/chaos_flight_<seed>.mnfr` (FlightRecorder::parse reads it).
   std::string flight_dump_dir;
-  /// Optional result store: run_chaos_soak looks each seed up before
-  /// executing and appends fresh reports on miss.  A cached run that
+  /// Optional result store, consulted through store::memoized_map:
+  /// hits replay, misses execute and are put.  A cached run that
   /// carried a flight dump re-writes its .mnfr file, so the on-disk
   /// black boxes survive a crash-and-rerun exactly like the reports.
   /// Not owned.

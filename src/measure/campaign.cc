@@ -11,8 +11,8 @@
 #include "net/trace_gen.hpp"
 #include "obs/obs.hpp"
 #include "store/codec.hpp"
+#include "store/memoize.hpp"
 #include "tcp/flow.hpp"
-#include "util/parallel.hpp"
 
 namespace mn {
 namespace {
@@ -362,39 +362,11 @@ RunRecord parse_run_record(std::string_view blob) {
 std::vector<RunRecord> run_campaign(const std::vector<ClusterSpec>& world,
                                     const CampaignOptions& options) {
   const std::vector<RunPlan> plans = plan_campaign(world, options);
-  if (options.store == nullptr) {
-    return parallel_map(plans.size(), options.parallelism,
-                        [&](std::size_t i) { return execute_run(plans[i], options); });
-  }
-  // Cache-aware execute: resolve hits up front, simulate only the
-  // misses, then reassemble in plan order — the output is byte-identical
-  // to the storeless path for any mix of hits and misses.
-  std::vector<store::ScenarioKey> keys(plans.size());
-  std::vector<RunRecord> records(plans.size());
-  std::vector<std::size_t> missing;
-  for (std::size_t i = 0; i < plans.size(); ++i) keys[i] = scenario_key(plans[i], options);
-  // One batched lookup: a remote store answers the whole plan in a
-  // single MULTI_GET round trip instead of one RTT per run.
-  const auto blobs = options.store->lookup_many(keys);
-  for (std::size_t i = 0; i < plans.size(); ++i) {
-    if (blobs[i]) {
-      try {
-        records[i] = parse_run_record(*blobs[i]);
-        continue;
-      } catch (const std::exception&) {
-        // Undecodable blob = miss; the fresh result supersedes it below.
-      }
-    }
-    missing.push_back(i);
-  }
-  std::vector<RunRecord> fresh =
-      parallel_map(missing.size(), options.parallelism,
-                   [&](std::size_t j) { return execute_run(plans[missing[j]], options); });
-  for (std::size_t j = 0; j < missing.size(); ++j) {
-    options.store->put(keys[missing[j]], serialize_run_record(fresh[j]));
-    records[missing[j]] = std::move(fresh[j]);
-  }
-  return records;
+  return store::memoized_map(
+      plans.size(), options.store, options.parallelism,
+      [&](std::size_t i) { return scenario_key(plans[i], options); },
+      [&](std::size_t i) { return execute_run(plans[i], options); }, serialize_run_record,
+      parse_run_record);
 }
 
 std::vector<RunRecord> complete_runs(const std::vector<RunRecord>& all) {

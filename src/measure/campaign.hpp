@@ -102,8 +102,8 @@ struct CampaignOptions {
   /// the plan phase pre-draws all randomness serially and each run
   /// executes against a private forked Rng.
   int parallelism = -1;
-  /// Optional result store: run_campaign consults it before executing
-  /// each plan and appends fresh results on miss.  Records, merged
+  /// Optional result store, consulted through store::memoized_map:
+  /// hits replay, misses execute and are put.  Records, merged
   /// metrics, and CSV are byte-identical whether a run was simulated or
   /// replayed from cache (the store's own hit/miss counters live on the
   /// store, never in the run metrics).  Not owned.

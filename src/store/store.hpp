@@ -1,4 +1,5 @@
-// The store interface campaign / sweep / chaos consume.
+// The store interface campaign / sweep / chaos consume (through
+// store::memoized_map, memoize.hpp).
 //
 // A Store memoizes deterministic work units: lookup() before executing,
 // put() after.  Two implementations exist — the process-local, durable

@@ -6,6 +6,8 @@
 
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -214,6 +216,22 @@ TEST_F(CampaignCacheTest, SweepColdAndWarmAreIdentical) {
   // Direction keys: the same sweep uploading is a distinct scenario.
   EXPECT_NE(sweep_scenario_key(net, config, sizes[0], Direction::kDownload),
             sweep_scenario_key(net, config, sizes[0], Direction::kUpload));
+
+  // A poisoned point is a clean miss: it re-simulates, matches the
+  // storeless baseline, and its fresh put supersedes the junk.
+  store.put(sweep_scenario_key(net, config, sizes[1], opt.dir), "junk, not a SweepPoint");
+  const std::uint64_t puts = store.stats().puts;
+  const auto healed = sweep_flow_sizes(net, config, sizes, opt);
+  EXPECT_EQ(store.stats().puts, puts + 1);
+  const auto rewarm = sweep_flow_sizes(net, config, sizes, opt);
+  EXPECT_EQ(store.stats().puts, puts + 1);
+  for (const auto* points : {&healed, &rewarm}) {
+    ASSERT_EQ(points->size(), baseline.size());
+    for (std::size_t i = 0; i < baseline.size(); ++i) {
+      EXPECT_EQ((*points)[i].throughput_mbps, baseline[i].throughput_mbps);
+      EXPECT_EQ((*points)[i].completion_time, baseline[i].completion_time);
+    }
+  }
 }
 
 TEST_F(CampaignCacheTest, ChaosSoakColdAndWarmAreIdentical) {
@@ -230,13 +248,67 @@ TEST_F(CampaignCacheTest, ChaosSoakColdAndWarmAreIdentical) {
   EXPECT_EQ(store.stats().misses, 4u);
   const ChaosSoakSummary warm = run_chaos_soak(opt);
   EXPECT_EQ(store.stats().hits, 4u);
-  for (const ChaosSoakSummary* s : {&cold, &warm}) {
+
+  // A poisoned seed is a clean miss: it re-runs, the summary matches the
+  // storeless baseline, and its fresh put supersedes the junk.
+  store.put(chaos_scenario_key(opt.seed + 2, opt), "junk, not a ChaosRunReport");
+  const std::uint64_t puts = store.stats().puts;
+  const ChaosSoakSummary healed = run_chaos_soak(opt);
+  EXPECT_EQ(store.stats().puts, puts + 1);
+  const ChaosSoakSummary rewarm = run_chaos_soak(opt);
+  EXPECT_EQ(store.stats().puts, puts + 1);
+  for (const ChaosSoakSummary* s : {&cold, &warm, &healed, &rewarm}) {
     EXPECT_EQ(s->runs, baseline.runs);
     EXPECT_EQ(s->completed, baseline.completed);
     EXPECT_EQ(s->aborted, baseline.aborted);
     EXPECT_EQ(s->max_stall, baseline.max_stall);
     EXPECT_EQ(s->violating.size(), baseline.violating.size());
   }
+}
+
+// A cached chaos run re-writes its .mnfr black box: delete the dumps a
+// cold soak wrote, rerun warm, and every file comes back byte-identical.
+TEST_F(CampaignCacheTest, ChaosHitRewritesItsFlightDump) {
+  ChaosSoakOptions opt;  // the watchdog-tripping settings of the obs tests
+  opt.runs = 2;
+  opt.seed = 5;  // seed 5 completes, seed 6 trips the watchdog
+  opt.parallelism = 0;
+  opt.max_bytes = 400'000;
+  opt.timeout = sec(60);
+  opt.stall_limit = sec(5);
+  opt.plan.horizon = sec(4);
+  opt.plan.max_events = 6;
+  opt.plan.restore_probability = 0.0;  // unrestored faults: trips guaranteed soon
+  opt.flight_recorder_events = 2048;
+  const fs::path dumps = dir_ / "dumps";
+  fs::create_directories(dumps);
+  opt.flight_dump_dir = dumps.string();
+
+  store::RunStore store{(dir_ / "store").string()};
+  opt.store = &store;
+  const ChaosSoakSummary cold = run_chaos_soak(opt);
+  ASSERT_GT(cold.aborted, 0) << "no run tripped the watchdog";
+
+  auto read_dumps = [&] {
+    std::map<std::string, std::string> files;
+    for (const auto& entry : fs::directory_iterator(dumps)) {
+      std::ifstream in(entry.path(), std::ios::binary);
+      files[entry.path().filename().string()] =
+          std::string((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+    }
+    return files;
+  };
+  const auto written = read_dumps();
+  ASSERT_FALSE(written.empty());
+  for (const auto& [name, bytes] : written) {
+    EXPECT_FALSE(bytes.empty()) << name;
+    fs::remove(dumps / name);
+  }
+
+  const std::uint64_t puts = store.stats().puts;
+  (void)run_chaos_soak(opt);
+  EXPECT_EQ(store.stats().puts, puts);  // all hits: nothing re-executed
+  EXPECT_EQ(read_dumps(), written);
 }
 
 TEST_F(CampaignCacheTest, ChaosReportBlobRoundTripsWithFlightDump) {

@@ -3,6 +3,7 @@
 // being misread as loss, and transfers must stay correct regardless.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 
 #include "net/path.hpp"
@@ -77,11 +78,16 @@ TEST(Reordering, MildReorderingCausesFewSpuriousRetransmits) {
 
 // Parameterized sweep: delivery correctness holds across reordering
 // severities and seeds (the throughput cost may vary, correctness not).
+// gtest names each case after the raw bytes of its parameter, so the
+// struct must have no padding: uninitialised padding bytes would make the
+// case names change from one test discovery to the next.
 struct ReorderCase {
   double prob;
-  int extra_ms;
+  std::int64_t extra_ms;
   std::uint64_t seed;
 };
+static_assert(sizeof(ReorderCase) ==
+              sizeof(double) + 2 * sizeof(std::uint64_t));
 
 class ReorderSweep : public ::testing::TestWithParam<ReorderCase> {};
 
