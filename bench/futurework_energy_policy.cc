@@ -33,8 +33,7 @@ Outcome run_measured(const MpNetworkSetup& net, const TransportConfig& cfg,
     // packet events at the client (the tap) — synthetic uniform-20 ms
     // activity used to stand in here, which flattened every burst and
     // biased the policy comparison against bursty real traffic.
-    DuplexPath path{sim, cfg.path == PathId::kWifi ? net.wifi_up : net.lte_up,
-                    cfg.path == PathId::kWifi ? net.wifi_down : net.lte_down};
+    DuplexPath path{sim, net[cfg.path].up, net[cfg.path].down};
     EnergyMeter meter{cfg.path == PathId::kWifi ? wifi_power_params()
                                                 : lte_power_params()};
     BulkFlowOptions flow_options;

@@ -17,24 +17,24 @@ LinkEstimate measure_links(const MpNetworkSetup& net) {
   LinkEstimate est;
   {
     Simulator sim;
-    DuplexPath wifi{sim, net.wifi_up, net.wifi_down};
+    DuplexPath wifi{sim, net[PathId::kWifi].up, net[PathId::kWifi].down};
     est.wifi_down_mbps =
         run_bulk_flow(sim, wifi, 250'000, Direction::kDownload).throughput_mbps;
   }
   {
     Simulator sim;
-    DuplexPath wifi{sim, net.wifi_up, net.wifi_down};
+    DuplexPath wifi{sim, net[PathId::kWifi].up, net[PathId::kWifi].down};
     est.wifi_rtt = measure_ping_rtt(sim, wifi);
   }
   {
     Simulator sim;
-    DuplexPath lte{sim, net.lte_up, net.lte_down};
+    DuplexPath lte{sim, net[PathId::kLte].up, net[PathId::kLte].down};
     est.lte_down_mbps =
         run_bulk_flow(sim, lte, 250'000, Direction::kDownload).throughput_mbps;
   }
   {
     Simulator sim;
-    DuplexPath lte{sim, net.lte_up, net.lte_down};
+    DuplexPath lte{sim, net[PathId::kLte].up, net[PathId::kLte].down};
     est.lte_rtt = measure_ping_rtt(sim, lte);
   }
   return est;

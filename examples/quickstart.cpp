@@ -73,8 +73,8 @@ int main() {
     MpShell shell{sim, net};
     PacketLog log;
     log.set_capacity(4096);  // bounded: keeps the newest window
-    shell.iface(PathId::kWifi).set_tap(log.tap_for("wifi"));
-    shell.iface(PathId::kLte).set_tap(log.tap_for("lte"));
+    shell.network().iface(PathId::kWifi).set_tap(log.tap_for("wifi"));
+    shell.network().iface(PathId::kLte).set_tap(log.tap_for("lte"));
     HttpConnectionSim conn{shell, TransportConfig::mptcp(PathId::kWifi, CcAlgo::kCoupled),
                            1, {synthetic_exchange(300, 1'000'000)}};
     conn.start(TimePoint{0});

@@ -59,9 +59,7 @@ TransportFlowResult run_transport_flow(Simulator& sim, const MpNetworkSetup& net
                                        Direction dir, const TransportRunOptions& options) {
   TransportFlowResult out;
   if (config.kind == TransportKind::kSinglePath) {
-    const bool wifi = config.path == PathId::kWifi;
-    DuplexPath path{sim, wifi ? net.wifi_up : net.lte_up,
-                    wifi ? net.wifi_down : net.lte_down};
+    DuplexPath path{sim, net[config.path].up, net[config.path].down};
     FaultInjector injector{sim};
     if (options.faults) {
       // Plan events addressed to the other network are skipped by the
@@ -87,9 +85,7 @@ TransportFlowResult run_transport_flow(Simulator& sim, const MpNetworkSetup& net
   flow_options.stall_limit = options.stall_limit;
   if (options.faults) {
     flow_options.on_testbed = [&injector, &options](MptcpTestbed& bed) {
-      injector.set_target(PathId::kWifi, &bed.path(PathId::kWifi),
-                          &bed.iface(PathId::kWifi));
-      injector.set_target(PathId::kLte, &bed.path(PathId::kLte), &bed.iface(PathId::kLte));
+      for (const PathId p : kPaths) injector.set_target(p, &bed.path(p), &bed.iface(p));
       injector.arm(*options.faults);
     };
   }
@@ -123,11 +119,11 @@ store::ScenarioKey sweep_scenario_key(const MpNetworkSetup& net,
                                       const TransportConfig& config, std::int64_t bytes,
                                       Direction dir) {
   store::KeyBuilder key{"sweep-point"};
-  key_link(key, net.wifi_up);
-  key_link(key, net.wifi_down);
-  key_link(key, net.lte_up);
-  key_link(key, net.lte_down);
-  key.boolean(net.wifi_reports_carrier_loss).boolean(net.lte_reports_carrier_loss);
+  for (const PathId p : kPaths) {
+    key_link(key, net[p].up);
+    key_link(key, net[p].down);
+  }
+  for (const PathId p : kPaths) key.boolean(net[p].reports_carrier_loss);
   key_transport(key, config);
   key.i64(bytes).u8(static_cast<std::uint8_t>(dir));
   return key.finish();

@@ -2,43 +2,32 @@
 
 namespace mn {
 
-MpShell::MpShell(Simulator& sim, const MpNetworkSetup& setup) : sim_(sim) {
-  wifi_path_ = std::make_unique<DuplexPath>(sim, setup.wifi_up, setup.wifi_down);
-  lte_path_ = std::make_unique<DuplexPath>(sim, setup.lte_up, setup.lte_down);
-  ifaces_[0] = std::make_unique<NetworkInterface>("wifi", sim, *wifi_path_,
-                                                  setup.wifi_reports_carrier_loss);
-  ifaces_[1] = std::make_unique<NetworkInterface>("lte", sim, *lte_path_,
-                                                  setup.lte_reports_carrier_loss);
-  for (auto& iface : ifaces_) {
-    iface->set_receiver([this](Packet p) { client_mux_.dispatch(p); });
-  }
-  wifi_path_->set_server_receiver([this](Packet p) { server_mux_.dispatch(p); });
-  lte_path_->set_server_receiver([this](Packet p) { server_mux_.dispatch(p); });
-}
-
-MpShell::~MpShell() {
-  wifi_path_->set_server_receiver({});
-  lte_path_->set_server_receiver({});
-}
-
-void MpShell::server_send(PathId path, Packet p) {
-  (path == PathId::kWifi ? wifi_path_ : lte_path_)->send_down(std::move(p));
+MpShell::MpShell(Simulator& sim, const MpNetworkSetup& setup) : sim_(sim), net_(sim, setup) {
+  net_.set_receivers([this](Packet p) { client_mux_.dispatch(p); },
+                     [this](Packet p) { server_mux_.dispatch(p); });
 }
 
 namespace {
 
+/// One side's wiring into the shell: the client sends through its
+/// interface, the server straight down the path; each side receives
+/// from its own mux.
+PacketHandler transmit_on(MpNetwork& net, PathId path, bool is_client) {
+  if (is_client) return [iface = &net.iface(path)](Packet p) { iface->send(std::move(p)); };
+  return [dp = &net.path(path)](Packet p) { dp->send_down(std::move(p)); };
+}
+
+PacketMux& mux_of(MpShell& shell, bool is_client) {
+  return is_client ? shell.client_mux() : shell.server_mux();
+}
+
 class TcpTransport final : public Transport {
  public:
   TcpTransport(MpShell& shell, PathId path, std::uint64_t conn, bool is_client)
-      : shell_(shell), path_(path), conn_(conn), is_client_(is_client),
+      : mux_(mux_of(shell, is_client)), conn_(conn),
         ep_(shell.sim(), make_config(conn), std::make_unique<RenoCc>()) {
-    if (is_client_) {
-      ep_.set_transmit([this](Packet p) { shell_.iface(path_).send(std::move(p)); });
-      shell_.client_mux().attach(conn_, 0, [this](Packet p) { ep_.handle_packet(p); });
-    } else {
-      ep_.set_transmit([this](Packet p) { shell_.server_send(path_, std::move(p)); });
-      shell_.server_mux().attach(conn_, 0, [this](Packet p) { ep_.handle_packet(p); });
-    }
+    ep_.set_transmit(transmit_on(shell.network(), path, is_client));
+    mux_.attach(conn_, 0, [this](Packet p) { ep_.handle_packet(p); });
     ep_.on_established = [this] {
       if (on_established) on_established();
     };
@@ -47,9 +36,7 @@ class TcpTransport final : public Transport {
     };
   }
 
-  ~TcpTransport() override {
-    (is_client_ ? shell_.client_mux() : shell_.server_mux()).detach(conn_, 0);
-  }
+  ~TcpTransport() override { mux_.detach(conn_, 0); }
 
   void connect() override { ep_.connect(); }
   void listen() override { ep_.listen(); }
@@ -64,10 +51,8 @@ class TcpTransport final : public Transport {
     return cfg;
   }
 
-  MpShell& shell_;
-  PathId path_;
+  PacketMux& mux_;
   std::uint64_t conn_;
-  bool is_client_;
   TcpEndpoint ep_;
 };
 
@@ -75,21 +60,11 @@ class MptcpTransport final : public Transport {
  public:
   MptcpTransport(MpShell& shell, const MptcpSpec& spec, std::uint64_t conn,
                  bool is_client)
-      : shell_(shell), conn_(conn), is_client_(is_client),
+      : mux_(mux_of(shell, is_client)), conn_(conn),
         agent_(shell.sim(), conn, spec, is_client) {
     for (int id = 0; id < 2; ++id) {
-      const PathId path = agent_.subflow_path(id);
-      if (is_client_) {
-        agent_.set_transmit(id, [this, path](Packet p) {
-          shell_.iface(path).send(std::move(p));
-        });
-      } else {
-        agent_.set_transmit(id, [this, path](Packet p) {
-          shell_.server_send(path, std::move(p));
-        });
-      }
-      PacketMux& mux = is_client_ ? shell_.client_mux() : shell_.server_mux();
-      mux.attach(conn_, id, [this](Packet p) { agent_.handle_packet(p); });
+      agent_.set_transmit(id, transmit_on(shell.network(), agent_.subflow_path(id), is_client));
+      mux_.attach(conn_, id, [this](Packet p) { agent_.handle_packet(p); });
     }
     agent_.on_established = [this] {
       if (on_established) on_established();
@@ -100,9 +75,7 @@ class MptcpTransport final : public Transport {
   }
 
   ~MptcpTransport() override {
-    PacketMux& mux = is_client_ ? shell_.client_mux() : shell_.server_mux();
-    mux.detach(conn_, 0);
-    mux.detach(conn_, 1);
+    for (int id = 0; id < 2; ++id) mux_.detach(conn_, id);
   }
 
   void connect() override { agent_.connect(); }
@@ -112,9 +85,8 @@ class MptcpTransport final : public Transport {
   [[nodiscard]] bool finished() const override { return agent_.finished(); }
 
  private:
-  MpShell& shell_;
+  PacketMux& mux_;
   std::uint64_t conn_;
-  bool is_client_;
   MptcpAgent agent_;
 };
 

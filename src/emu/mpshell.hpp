@@ -25,23 +25,17 @@ class MpShell {
   MpShell(Simulator& sim, const MpNetworkSetup& setup);
   MpShell(const MpShell&) = delete;
   MpShell& operator=(const MpShell&) = delete;
-  ~MpShell();
 
   [[nodiscard]] Simulator& sim() { return sim_; }
-  [[nodiscard]] NetworkInterface& iface(PathId path) {
-    return *ifaces_[static_cast<std::size_t>(path)];
-  }
+  [[nodiscard]] MpNetwork& network() { return net_; }
   [[nodiscard]] PacketMux& client_mux() { return client_mux_; }
   [[nodiscard]] PacketMux& server_mux() { return server_mux_; }
-  void server_send(PathId path, Packet p);
 
  private:
   Simulator& sim_;
-  std::unique_ptr<DuplexPath> wifi_path_;
-  std::unique_ptr<DuplexPath> lte_path_;
-  std::array<std::unique_ptr<NetworkInterface>, 2> ifaces_;
   PacketMux client_mux_;
   PacketMux server_mux_;
+  MpNetwork net_;  // after the muxes its receivers feed: torn down first
 };
 
 /// One side of a logical connection; created in pairs by make_transport_pair.

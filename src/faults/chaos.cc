@@ -53,10 +53,10 @@ LinkSpec random_link(Rng& rng, bool lte) {
 
 MpNetworkSetup random_setup(Rng& rng) {
   MpNetworkSetup setup;
-  setup.wifi_up = random_link(rng, /*lte=*/false);
-  setup.wifi_down = random_link(rng, /*lte=*/false);
-  setup.lte_up = random_link(rng, /*lte=*/true);
-  setup.lte_down = random_link(rng, /*lte=*/true);
+  for (const PathId p : kPaths) {
+    setup[p].up = random_link(rng, /*lte=*/p == PathId::kLte);
+    setup[p].down = random_link(rng, /*lte=*/p == PathId::kLte);
+  }
   return setup;
 }
 
@@ -77,14 +77,10 @@ MptcpSpec random_spec(Rng& rng) {
   return spec;
 }
 
-void check_counters(ChaosRunReport& report, DuplexPath& path, const char* name) {
-  if (!path.uplink().counters_consistent()) {
-    report.violations.push_back(std::string{"stage counters inconsistent: "} + name + " uplink");
-  }
-  if (!path.downlink().counters_consistent()) {
-    report.violations.push_back(std::string{"stage counters inconsistent: "} + name +
-                                " downlink");
-  }
+void check_counters(ChaosRunReport& report, DuplexPath& path, PathId id) {
+  const std::string prefix = "stage counters inconsistent: " + std::string{path_name(id)};
+  if (!path.uplink().counters_consistent()) report.violations.push_back(prefix + " uplink");
+  if (!path.downlink().counters_consistent()) report.violations.push_back(prefix + " downlink");
 }
 
 }  // namespace
@@ -110,8 +106,7 @@ ChaosRunReport run_chaos_run(std::uint64_t seed, const ChaosSoakOptions& options
   sim.set_obs(&hub);
   MptcpTestbed bed{sim, setup, spec};
   FaultInjector injector{sim};
-  injector.set_target(PathId::kWifi, &bed.path(PathId::kWifi), &bed.iface(PathId::kWifi));
-  injector.set_target(PathId::kLte, &bed.path(PathId::kLte), &bed.iface(PathId::kLte));
+  for (const PathId p : kPaths) injector.set_target(p, &bed.path(p), &bed.iface(p));
   injector.arm(plan);
 
   bed.start_transfer(report.bytes_requested, dir);
@@ -168,8 +163,7 @@ ChaosRunReport run_chaos_run(std::uint64_t seed, const ChaosSoakOptions& options
 
   // Invariant 4: per-stage conservation, checked after the drain so
   // queued packets have either been delivered or dropped.
-  check_counters(report, bed.path(PathId::kWifi), "wifi");
-  check_counters(report, bed.path(PathId::kLte), "lte");
+  for (const PathId p : kPaths) check_counters(report, bed.path(p), p);
 
   report.metrics = hub.snapshot();
   // Black box: when the run aborted or broke an invariant, keep the last

@@ -50,8 +50,9 @@ FaultKind parse_kind(const std::string& s) {
 }
 
 PathId parse_path(const std::string& s) {
-  if (s == "wifi") return PathId::kWifi;
-  if (s == "lte") return PathId::kLte;
+  for (const PathId p : kPaths) {
+    if (path_name(p) == s) return p;
+  }
   throw std::runtime_error("FaultPlan: unknown path: " + s);
 }
 
@@ -66,8 +67,8 @@ LinkDir parse_dir(const std::string& s) {
 
 std::string FaultEvent::describe() const {
   std::ostringstream os;
-  os << at.usec() << "us " << to_string(kind) << ' '
-     << (path == PathId::kWifi ? "wifi" : "lte") << ' ' << to_string(dir);
+  os << at.usec() << "us " << to_string(kind) << ' ' << path_name(path) << ' '
+     << to_string(dir);
   if (kind == FaultKind::kRateCrash) os << " rate=" << rate_mbps;
   if (kind == FaultKind::kDelaySpike) os << " extra=" << extra_delay.usec() << "us";
   if (kind == FaultKind::kBurstOn) {
@@ -154,8 +155,8 @@ FaultPlan& FaultPlan::middlebox_off(Duration at, PathId path, LinkDir dir) {
 std::string FaultPlan::serialize() const {
   std::ostringstream os;
   for (const FaultEvent& ev : events_) {
-    os << ev.at.usec() << ' ' << to_string(ev.kind) << ' '
-       << (ev.path == PathId::kWifi ? "wifi" : "lte") << ' ' << to_string(ev.dir);
+    os << ev.at.usec() << ' ' << to_string(ev.kind) << ' ' << path_name(ev.path) << ' '
+       << to_string(ev.dir);
     switch (ev.kind) {
       case FaultKind::kRateCrash:
         os << ' ' << ev.rate_mbps;

@@ -48,51 +48,42 @@ LinkSpec make_link(double mbps, Duration delay, bool lte, Rng& rng) {
 ProbeResult probe_network(double rate_mbps, Duration one_way, bool lte, Rng& rng,
                           const CampaignOptions& opt, const FaultPlan* faults,
                           obs::ObsHub* hub) {
-  ProbeResult res;
-  const PathId path_id = lte ? PathId::kLte : PathId::kWifi;
+  // Each probe gets a fresh simulator and a fresh path (two link draws,
+  // uplink first), with `plan` armed against it when given.
+  const auto on_fresh_path = [&](const FaultPlan* plan, const auto& probe) {
+    Simulator sim;
+    sim.set_obs(hub);
+    DuplexPath path{sim, make_link(rate_mbps, one_way, lte, rng),
+                    make_link(rate_mbps, one_way, lte, rng)};
+    FaultInjector injector{sim};
+    if (plan) {
+      injector.set_target(lte ? PathId::kLte : PathId::kWifi, &path);
+      injector.arm(*plan);
+    }
+    return probe(sim, path);
+  };
   BulkFlowOptions flow_options;
   flow_options.timeout = sec(60);
   // Unfaulted probes keep the legacy wall-clock-only contract; faulted
   // ones get the tight watchdog so an unrestored blackhole fails the run
   // quickly instead of burning the full timeout.
   flow_options.stall_limit = faults ? opt.fault_stall_limit : sec(60);
-  {
-    Simulator sim;
-    sim.set_obs(hub);
-    DuplexPath path{sim, make_link(rate_mbps, one_way, lte, rng),
-                    make_link(rate_mbps, one_way, lte, rng)};
-    FaultInjector injector{sim};
-    if (faults) {
-      injector.set_target(path_id, &path);
-      injector.arm(*faults);
-    }
-    const auto up = run_bulk_flow(sim, path, opt.transfer_bytes, Direction::kUpload,
-                                  reno_factory(), flow_options);
-    res.up_mbps = up.throughput_mbps;
-    if (!up.completed) res.failure = "uplink " + up.failure_reason;
-  }
-  {
-    Simulator sim;
-    sim.set_obs(hub);
-    DuplexPath path{sim, make_link(rate_mbps, one_way, lte, rng),
-                    make_link(rate_mbps, one_way, lte, rng)};
-    FaultInjector injector{sim};
-    if (faults) {
-      injector.set_target(path_id, &path);
-      injector.arm(*faults);
-    }
-    const auto down = run_bulk_flow(sim, path, opt.transfer_bytes, Direction::kDownload,
-                                    reno_factory(), flow_options);
-    res.down_mbps = down.throughput_mbps;
-    if (!down.completed && res.failure.empty()) res.failure = "downlink " + down.failure_reason;
-  }
-  {
-    Simulator sim;
-    sim.set_obs(hub);
-    DuplexPath path{sim, make_link(rate_mbps, one_way, lte, rng),
-                    make_link(rate_mbps, one_way, lte, rng)};
-    res.rtt_ms = measure_ping_rtt(sim, path, opt.ping_count).millis();
-  }
+  const auto bulk = [&](Direction dir) {
+    return on_fresh_path(faults, [&](Simulator& sim, DuplexPath& path) {
+      return run_bulk_flow(sim, path, opt.transfer_bytes, dir, reno_factory(), flow_options);
+    });
+  };
+
+  ProbeResult res;
+  const auto up = bulk(Direction::kUpload);
+  res.up_mbps = up.throughput_mbps;
+  if (!up.completed) res.failure = "uplink " + up.failure_reason;
+  const auto down = bulk(Direction::kDownload);
+  res.down_mbps = down.throughput_mbps;
+  if (!down.completed && res.failure.empty()) res.failure = "downlink " + down.failure_reason;
+  res.rtt_ms = on_fresh_path(nullptr, [&](Simulator& sim, DuplexPath& path) {
+                 return measure_ping_rtt(sim, path, opt.ping_count);
+               }).millis();
   return res;
 }
 
@@ -107,26 +98,24 @@ void probe_multipath(const RunPlan& plan, const CampaignOptions& opt, Rng& rng,
   Simulator sim;
   sim.set_obs(hub);
   MpNetworkSetup setup;
-  setup.wifi_up = make_link(plan.wifi_rate_mbps, plan.wifi_delay, /*lte=*/false, rng);
-  setup.wifi_down = make_link(plan.wifi_rate_mbps, plan.wifi_delay, /*lte=*/false, rng);
-  setup.lte_up = make_link(plan.lte_rate_mbps, plan.lte_delay, /*lte=*/true, rng);
-  setup.lte_down = make_link(plan.lte_rate_mbps, plan.lte_delay, /*lte=*/true, rng);
+  setup[PathId::kWifi].up = make_link(plan.wifi_rate_mbps, plan.wifi_delay, /*lte=*/false, rng);
+  setup[PathId::kWifi].down = make_link(plan.wifi_rate_mbps, plan.wifi_delay, /*lte=*/false, rng);
+  setup[PathId::kLte].up = make_link(plan.lte_rate_mbps, plan.lte_delay, /*lte=*/true, rng);
+  setup[PathId::kLte].down = make_link(plan.lte_rate_mbps, plan.lte_delay, /*lte=*/true, rng);
   FlowRunOptions flow_options;
   flow_options.timeout = sec(60);
   // A degraded flow still finishes on the surviving path; only a real
   // stall (which the fallback machinery must prevent) trips this.
   flow_options.stall_limit = sec(10);
   flow_options.on_testbed = [&plan](MptcpTestbed& bed) {
-    MiddleboxSpec wifi_box;
-    wifi_box.strip_capable = plan.middlebox_strip;
-    wifi_box.seed = mix_seed(plan.middlebox_seed, "wifi");
-    bed.path(PathId::kWifi).uplink().set_middlebox(wifi_box);
-    bed.path(PathId::kWifi).downlink().set_middlebox(wifi_box);
-    MiddleboxSpec lte_box;
-    lte_box.strip_join = plan.middlebox_strip;
-    lte_box.seed = mix_seed(plan.middlebox_seed, "lte");
-    bed.path(PathId::kLte).uplink().set_middlebox(lte_box);
-    bed.path(PathId::kLte).downlink().set_middlebox(lte_box);
+    for (const PathId p : kPaths) {
+      MiddleboxSpec box;
+      box.strip_capable = p == PathId::kWifi ? plan.middlebox_strip : 0.0;
+      box.strip_join = p == PathId::kLte ? plan.middlebox_strip : 0.0;
+      box.seed = mix_seed(plan.middlebox_seed, path_name(p));
+      bed.path(p).uplink().set_middlebox(box);
+      bed.path(p).downlink().set_middlebox(box);
+    }
   };
   MptcpSpec spec;
   spec.scheduler = opt.mp_scheduler;

@@ -1,6 +1,7 @@
 // MPTCP configuration types (paper Section 3 terminology).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -17,8 +18,18 @@ enum class PathId : int { kWifi = 0, kLte = 1 };
   return p == PathId::kWifi ? PathId::kLte : PathId::kWifi;
 }
 
+/// Every PathId in index order: loops over the networks use this.
+inline constexpr std::array<PathId, 2> kPaths{PathId::kWifi, PathId::kLte};
+
 [[nodiscard]] inline std::string to_string(PathId p) {
   return p == PathId::kWifi ? "WiFi" : "LTE";
+}
+
+/// Lowercase machine name ("wifi" / "lte"): interface names and the
+/// serialized FaultPlan text.
+[[nodiscard]] constexpr std::string_view path_name(PathId p) {
+  constexpr std::array<std::string_view, 2> kNames{"wifi", "lte"};
+  return kNames[static_cast<std::size_t>(p)];
 }
 
 /// Congestion-control coupling across subflows (paper Section 3.5).

@@ -8,70 +8,65 @@ namespace mn {
 
 MpNetworkSetup symmetric_setup(const LinkSpec& wifi, const LinkSpec& lte) {
   MpNetworkSetup s;
-  s.wifi_up = s.wifi_down = wifi;
-  s.lte_up = s.lte_down = lte;
+  s[PathId::kWifi].up = s[PathId::kWifi].down = wifi;
+  s[PathId::kLte].up = s[PathId::kLte].down = lte;
   return s;
+}
+
+MpNetwork::MpNetwork(Simulator& sim, const MpNetworkSetup& setup) {
+  for (const PathId p : kPaths) {
+    paths_[static_cast<std::size_t>(p)] =
+        std::make_unique<DuplexPath>(sim, setup[p].up, setup[p].down);
+  }
+  for (const PathId p : kPaths) {
+    ifaces_[static_cast<std::size_t>(p)] = std::make_unique<NetworkInterface>(
+        std::string{path_name(p)}, sim, path(p), setup[p].reports_carrier_loss);
+  }
+}
+
+MpNetwork::~MpNetwork() {
+  for (const PathId p : kPaths) {
+    path(p).set_server_receiver({});
+    path(p).set_server_receiver_batch({});
+  }
 }
 
 MptcpTestbed::MptcpTestbed(Simulator& sim, const MpNetworkSetup& setup, MptcpSpec spec,
                            std::uint64_t connection_id)
-    : sim_(sim), meters_{EnergyMeter{wifi_power_params()}, EnergyMeter{lte_power_params()}} {
-  wifi_path_ = std::make_unique<DuplexPath>(sim, setup.wifi_up, setup.wifi_down);
-  lte_path_ = std::make_unique<DuplexPath>(sim, setup.lte_up, setup.lte_down);
-  ifaces_[0] = std::make_unique<NetworkInterface>("wifi", sim, *wifi_path_,
-                                                  setup.wifi_reports_carrier_loss);
-  ifaces_[1] = std::make_unique<NetworkInterface>("lte", sim, *lte_path_,
-                                                  setup.lte_reports_carrier_loss);
-
-  client_ = std::make_unique<MptcpAgent>(sim, connection_id, spec, /*is_client=*/true);
-  server_ = std::make_unique<MptcpAgent>(sim, connection_id, spec, /*is_client=*/false);
-
+    : sim_(sim),
+      net_(sim, setup),
+      client_(std::make_unique<MptcpAgent>(sim, connection_id, spec, /*is_client=*/true)),
+      server_(std::make_unique<MptcpAgent>(sim, connection_id, spec, /*is_client=*/false)),
+      meters_{EnergyMeter{wifi_power_params()}, EnergyMeter{lte_power_params()}} {
   for (int id = 0; id < 2; ++id) {
     const PathId path = client_->subflow_path(id);
-    NetworkInterface* iface = ifaces_[static_cast<std::size_t>(path)].get();
+    NetworkInterface* iface = &net_.iface(path);
     client_->set_transmit(id, [iface](Packet p) { iface->send(std::move(p)); });
-    DuplexPath* dp = (path == PathId::kWifi) ? wifi_path_.get() : lte_path_.get();
+    DuplexPath* dp = &net_.path(path);
     server_->set_transmit(id, [dp](Packet p) { dp->send_down(std::move(p)); });
   }
   // All client-bound traffic funnels into the client agent (subflow_id in
-  // the packet selects the endpoint); same on the server.
-  for (auto& iface : ifaces_) {
-    iface->set_receiver([this](Packet p) { client_->handle_packet(p); });
-    iface->set_receiver_batch([this](std::span<Packet> ps) {
-      client_->on_packets({ps.data(), ps.size()});
-    });
-  }
-  // The client side installs taps below, which forces its interfaces
-  // onto the per-packet path; the untapped server side takes each
-  // tick's deliveries as one span.
-  wifi_path_->set_server_receiver([this](Packet p) { server_->handle_packet(p); });
-  lte_path_->set_server_receiver([this](Packet p) { server_->handle_packet(p); });
-  wifi_path_->set_server_receiver_batch(
-      [this](std::span<Packet> ps) { server_->on_packets({ps.data(), ps.size()}); });
-  lte_path_->set_server_receiver_batch(
+  // the packet selects the endpoint); same on the server.  The client side
+  // installs taps below, which forces its interfaces onto the per-packet
+  // path; the untapped server side takes each tick's deliveries as one span.
+  net_.set_receivers([this](Packet p) { client_->handle_packet(p); },
+                     [this](Packet p) { server_->handle_packet(p); });
+  net_.set_batch_receivers(
+      [this](std::span<Packet> ps) { client_->on_packets({ps.data(), ps.size()}); },
       [this](std::span<Packet> ps) { server_->on_packets({ps.data(), ps.size()}); });
 
-  // Interface state changes drive MPTCP path management on the client.
-  for (int pi = 0; pi < 2; ++pi) {
-    const auto path = static_cast<PathId>(pi);
-    ifaces_[static_cast<std::size_t>(pi)]->add_state_listener(
+  for (const PathId path : kPaths) {
+    const auto pi = static_cast<std::size_t>(path);
+    // Interface state changes drive MPTCP path management on the client.
+    net_.iface(path).add_state_listener(
         [this, path](bool up) { client_->notify_path_state(path, up); });
     // Packet-event taps (Figure 15 / energy model).  The same events
     // feed the per-radio energy meters first-class.
-    ifaces_[static_cast<std::size_t>(pi)]->set_tap(
-        [this, pi](TimePoint t, PacketDir dir, const Packet& p) {
-          events_[static_cast<std::size_t>(pi)].push_back(
-              PacketEvent{t, dir, p.flags, p.payload});
-          meters_[static_cast<std::size_t>(pi)].add_activity(t);
-        });
+    net_.iface(path).set_tap([this, pi](TimePoint t, PacketDir dir, const Packet& p) {
+      events_[pi].push_back(PacketEvent{t, dir, p.flags, p.payload});
+      meters_[pi].add_activity(t);
+    });
   }
-}
-
-MptcpTestbed::~MptcpTestbed() {
-  wifi_path_->set_server_receiver({});
-  lte_path_->set_server_receiver({});
-  wifi_path_->set_server_receiver_batch({});
-  lte_path_->set_server_receiver_batch({});
 }
 
 void MptcpTestbed::start_transfer(std::int64_t bytes, Direction dir) {
@@ -190,8 +185,9 @@ MptcpFlowResult run_mptcp_flow(Simulator& sim, const MpNetworkSetup& setup,
   result.energy_wifi_j = bed.radio_energy_joules(PathId::kWifi, energy_horizon);
   result.energy_lte_j = bed.radio_energy_joules(PathId::kLte, energy_horizon);
   if (auto* o = sim.obs()) {
-    bed.meter(PathId::kWifi).publish(*o, energy_horizon, /*radio_id=*/0);
-    bed.meter(PathId::kLte).publish(*o, energy_horizon, /*radio_id=*/1);
+    for (const PathId p : kPaths) {
+      bed.meter(p).publish(*o, energy_horizon, /*radio_id=*/static_cast<std::uint8_t>(p));
+    }
   }
 
   result.negotiation = bed.client().negotiation();

@@ -22,20 +22,70 @@
 
 namespace mn {
 
-/// Link parameters for both directions of both networks.
-struct MpNetworkSetup {
-  LinkSpec wifi_up;
-  LinkSpec wifi_down;
-  LinkSpec lte_up;
-  LinkSpec lte_down;
+/// One access network: link parameters for both directions plus its
+/// carrier semantics.
+struct PathSetup {
+  LinkSpec up;
+  LinkSpec down;
   /// A locally attached WiFi radio sees carrier loss; the paper's
   /// USB-tethered LTE phone does not (the Figure-15g asymmetry).
-  bool wifi_reports_carrier_loss = true;
-  bool lte_reports_carrier_loss = false;
+  bool reports_carrier_loss = true;
+};
+
+/// Both networks of the multi-homed client, indexed by PathId.
+struct MpNetworkSetup {
+  std::array<PathSetup, 2> paths{
+      PathSetup{}, PathSetup{.up = {}, .down = {}, .reports_carrier_loss = false}};
+
+  [[nodiscard]] PathSetup& operator[](PathId p) { return paths[static_cast<std::size_t>(p)]; }
+  [[nodiscard]] const PathSetup& operator[](PathId p) const {
+    return paths[static_cast<std::size_t>(p)];
+  }
 };
 
 /// Symmetric convenience constructor: same spec both directions per path.
 [[nodiscard]] MpNetworkSetup symmetric_setup(const LinkSpec& wifi, const LinkSpec& lte);
+
+/// The Figure-5 network: per PathId, one emulated DuplexPath to the
+/// single-homed server fronted by the client's NetworkInterface (named
+/// path_name(p)).  The one place the access networks are wired; both
+/// MptcpTestbed and MpShell hold one.  Paths are built before
+/// interfaces, each in PathId order: link stages register their
+/// simulator sinks in construction order, which fixes dispatch order.
+class MpNetwork {
+ public:
+  MpNetwork(Simulator& sim, const MpNetworkSetup& setup);
+  MpNetwork(const MpNetwork&) = delete;
+  MpNetwork& operator=(const MpNetwork&) = delete;
+  ~MpNetwork();
+
+  [[nodiscard]] DuplexPath& path(PathId p) { return *paths_[static_cast<std::size_t>(p)]; }
+  [[nodiscard]] NetworkInterface& iface(PathId p) {
+    return *ifaces_[static_cast<std::size_t>(p)];
+  }
+
+  /// Deliver client-bound packets from every interface to `client` and
+  /// server-bound packets from every path to `server`.
+  template <class Client, class Server>
+  void set_receivers(const Client& client, const Server& server) {
+    for (const PathId p : kPaths) {
+      iface(p).set_receiver(client);
+      path(p).set_server_receiver(server);
+    }
+  }
+  /// Batch counterparts: a tick's deliveries arrive as one span.
+  template <class Client, class Server>
+  void set_batch_receivers(const Client& client, const Server& server) {
+    for (const PathId p : kPaths) {
+      iface(p).set_receiver_batch(client);
+      path(p).set_server_receiver_batch(server);
+    }
+  }
+
+ private:
+  std::array<std::unique_ptr<DuplexPath>, 2> paths_;         // index = PathId
+  std::array<std::unique_ptr<NetworkInterface>, 2> ifaces_;  // index = PathId
+};
 
 /// One packet crossing a client interface.
 struct PacketEvent {
@@ -62,17 +112,12 @@ class MptcpTestbed {
                std::uint64_t connection_id = 1);
   MptcpTestbed(const MptcpTestbed&) = delete;
   MptcpTestbed& operator=(const MptcpTestbed&) = delete;
-  ~MptcpTestbed();
 
   [[nodiscard]] MptcpAgent& client() { return *client_; }
   [[nodiscard]] MptcpAgent& server() { return *server_; }
-  [[nodiscard]] NetworkInterface& iface(PathId path) {
-    return *ifaces_[static_cast<std::size_t>(path)];
-  }
+  [[nodiscard]] NetworkInterface& iface(PathId path) { return net_.iface(path); }
   /// The emulated duplex path behind `path` (fault-injection target).
-  [[nodiscard]] DuplexPath& path(PathId path) {
-    return path == PathId::kWifi ? *wifi_path_ : *lte_path_;
-  }
+  [[nodiscard]] DuplexPath& path(PathId path) { return net_.path(path); }
   [[nodiscard]] const std::vector<PacketEvent>& events(PathId path) const {
     return events_[static_cast<std::size_t>(path)];
   }
@@ -110,9 +155,7 @@ class MptcpTestbed {
 
  private:
   Simulator& sim_;
-  std::unique_ptr<DuplexPath> wifi_path_;
-  std::unique_ptr<DuplexPath> lte_path_;
-  std::array<std::unique_ptr<NetworkInterface>, 2> ifaces_;  // index = PathId
+  MpNetwork net_;  // built before the agents: sink registration order
   std::unique_ptr<MptcpAgent> client_;
   std::unique_ptr<MptcpAgent> server_;
   std::array<std::vector<PacketEvent>, 2> events_;

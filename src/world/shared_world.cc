@@ -226,11 +226,6 @@ WorldResult run_world(const std::vector<ClusterSpec>& world, std::uint64_t total
   auto shards = parallel_map(world.size(), opt.parallelism, [&](std::size_t i) {
     Simulator sim;  // honours MN_SCALAR_DISPATCH itself
     if (!opt.batch_dispatch) sim.set_batch_dispatch(false);
-    std::unique_ptr<obs::ObsHub> hub;
-    if (opt.attach_obs) {
-      hub = std::make_unique<obs::ObsHub>();
-      sim.set_obs(hub.get());
-    }
     ClusterWorld cluster(sim, world[i], counts[i], opt);
     sim.run_until_idle();
     return ShardOut{cluster.take_stats(), sim.events_fired(), sim.now().usec()};

@@ -74,8 +74,6 @@ struct WorldOptions {
   Duration backhaul_burst = msec(20);
 
   std::uint64_t seed = 20130901;
-  /// Register per-cell gauges into an ObsHub on the cluster's sim.
-  bool attach_obs = false;
   /// false -> width-1 scalar dispatch (golden tests; results identical).
   bool batch_dispatch = true;
   /// Worker threads for run_world (0 -> MN_THREADS / hardware).

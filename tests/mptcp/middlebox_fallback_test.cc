@@ -19,15 +19,15 @@ LinkSpec mk(double mbps, Duration delay, int queue = 64) {
 
 MpNetworkSetup net_with_wifi_box(const MiddleboxSpec& box) {
   auto net = symmetric_setup(mk(10, msec(10)), mk(5, msec(30)));
-  net.wifi_up.middlebox = box;
-  net.wifi_down.middlebox = box;
+  net[PathId::kWifi].up.middlebox = box;
+  net[PathId::kWifi].down.middlebox = box;
   return net;
 }
 
 MpNetworkSetup net_with_lte_box(const MiddleboxSpec& box) {
   auto net = symmetric_setup(mk(10, msec(10)), mk(5, msec(30)));
-  net.lte_up.middlebox = box;
-  net.lte_down.middlebox = box;
+  net[PathId::kLte].up.middlebox = box;
+  net[PathId::kLte].down.middlebox = box;
   return net;
 }
 
@@ -183,10 +183,10 @@ TEST(MiddleboxFallback, NoHangForAnyHandshakeInterference) {
         MptcpSpec spec;
         spec.primary = PathId::kWifi;
         auto net = symmetric_setup(mk(10, msec(10)), mk(5, msec(30)));
-        net.wifi_up.middlebox = box;
-        net.wifi_down.middlebox = box;
-        net.lte_up.middlebox = box;
-        net.lte_down.middlebox = box;
+        for (const PathId p : kPaths) {
+          net[p].up.middlebox = box;
+          net[p].down.middlebox = box;
+        }
         const auto r = run(net, spec, 200'000);
         ASSERT_TRUE(r.completed)
             << "capable=" << capable << " join=" << join << " drop=" << drop

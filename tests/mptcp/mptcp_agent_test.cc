@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "mptcp/testbed.hpp"
 
 namespace mn {
@@ -219,11 +221,15 @@ TEST(MptcpAgent, ReinjectionDeduplicatesAtReceiver) {
 
 // Parameterized sweep over all 2x2x2 MPTCP configurations: every
 // combination must complete a mid-size transfer in both directions.
+// gtest names each case after the raw bytes of its parameter, so the
+// struct must have no padding: uninitialised padding bytes would make the
+// case names change from one test discovery to the next.
 struct ConfigCase {
   PathId primary;
   CcAlgo cc;
-  bool upload;
+  std::int32_t upload;
 };
+static_assert(sizeof(ConfigCase) == 12);
 
 class MptcpConfigSweep : public ::testing::TestWithParam<ConfigCase> {};
 

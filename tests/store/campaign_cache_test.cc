@@ -14,6 +14,7 @@
 #include "core/experiment.hpp"
 #include "faults/chaos.hpp"
 #include "measure/campaign.hpp"
+#include "measure/locations20.hpp"
 #include "store/run_store.hpp"
 
 namespace mn {
@@ -232,6 +233,32 @@ TEST_F(CampaignCacheTest, SweepColdAndWarmAreIdentical) {
       EXPECT_EQ((*points)[i].completion_time, baseline[i].completion_time);
     }
   }
+}
+
+// Every warm sweep store is addressed by these bytes: a change to how
+// the key absorbs the network, the transport or the flow turns all of
+// them cold.  Pinned for a fixed-rate pair with loss and burst loss, and
+// for a trace-driven Table-2 location whose four links all differ.
+TEST(SweepScenarioKey, BytesArePinned) {
+  LinkSpec wifi;
+  wifi.rate_mbps = 12.0;
+  wifi.loss_rate = 0.01;
+  wifi.loss_seed = 77;
+  LinkSpec lte;
+  lte.rate_mbps = 6.0;
+  lte.one_way_delay = msec(30);
+  lte.queue_packets = 64;
+  lte.burst_loss = GeLossSpec{0.0, 0.5, 0.01, 0.2, 9};
+  EXPECT_EQ(sweep_scenario_key(symmetric_setup(wifi, lte),
+                               TransportConfig::mptcp(PathId::kWifi, CcAlgo::kCoupled),
+                               200'000, Direction::kDownload)
+                .hex(),
+            "6705d2ebab03e62d7d6c2d6981b36fe0");
+  EXPECT_EQ(sweep_scenario_key(location_setup(table2_locations()[3], 7),
+                               TransportConfig::single_path(PathId::kLte), 1'000'000,
+                               Direction::kUpload)
+                .hex(),
+            "cc4d75ecf945c1630c2143e5422c51e4");
 }
 
 TEST_F(CampaignCacheTest, ChaosSoakColdAndWarmAreIdentical) {

@@ -124,15 +124,29 @@ TEST(SharedWorld, VenueCountScalesWithUsers) {
 }
 
 TEST(SharedWorld, ObsRegistersPerCellSeriesWhenAsked) {
+  // A caller that wants per-cell series attaches its own hub to the
+  // cluster's simulator; each venue's WiFi cell and LTE sector publish
+  // four series under "<cluster>.v<venue>.<wifi|lte>".
   const auto world = table1_world();
-  WorldOptions opt = small_opts();
-  opt.attach_obs = true;  // must not throw (metric-capacity headroom)
-  const auto r = run_world(world, 100, opt);
-  std::uint64_t completed = 0;
-  for (std::size_t i = 0; i < r.stats.size(); ++i) {
-    completed += r.stats.cluster(i).users_completed;
+  const ClusterSpec& spec = world[0];
+  obs::ObsHub hub;  // outlives the simulator that points at it
+  Simulator sim;
+  sim.set_obs(&hub);
+  ClusterWorld cluster(sim, spec, 100, small_opts());
+  sim.run_until_idle();
+  EXPECT_EQ(cluster.stats().users_completed, 100u);
+  ASSERT_EQ(cluster.venue_count(), 2u);  // ceil(100 / 64)
+
+  const obs::MetricsSnapshot snap = hub.snapshot();
+  for (std::size_t v = 0; v < cluster.venue_count(); ++v) {
+    for (const char* cell : {".wifi", ".lte"}) {
+      const std::string base = spec.name + ".v" + std::to_string(v) + cell;
+      for (const char* series : {".active_stations", ".grants", ".granted_bytes", ".busy_usec"}) {
+        EXPECT_NE(snap.find(base + series), nullptr) << base + series;
+      }
+      EXPECT_GT(snap.value_of(base + ".grants"), 0) << base;
+    }
   }
-  EXPECT_EQ(completed, 100u);
 }
 
 }  // namespace
