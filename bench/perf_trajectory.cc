@@ -22,16 +22,20 @@
 //   - chaos_soak / energy_pareto at MN_RUN_SCALE=<scale>: the
 //     fault-heavy workloads, same hook
 //   - table1_at_scale at MN_WORLD_USERS=2000: the shared-cell world
-//     (span-swept grant batches, streaming aggregation), same hook;
-//     its record also carries peak_rss_bytes for the bounded-memory
-//     claim
+//     (one event per cell service tick, streaming aggregation), same
+//     hook; its record also carries peak_rss_bytes for the
+//     bounded-memory claim
 //
 // Perf-floor mode (the CI smoke check): --floor-from <file> compares
 // the run just recorded against the most recent run in <file> and
-// fails (exit 3) when fig07 events/s dropped below --floor-frac
-// (default 0.9) of the floor, or when fig07 reports any InplaceFunction
-// heap fallbacks (allocs > 0) — the per-event path must stay
-// allocation-free regardless of machine speed.
+// fails (exit 3) when fig07 events/s or table1_at_scale users/s
+// (users / wall_s, both at the default 2000 users) dropped below
+// --floor-frac (default 0.9) of the floor, or when either reports any
+// InplaceFunction heap fallbacks (allocs > 0) — the per-event path
+// must stay allocation-free regardless of machine speed.  The world is
+// gated on users/s, not events/s, because its event count per user is
+// a property of the cell model and shrinks when the model files fewer
+// events for the same work.
 //
 // The output file holds one run object per line so records append
 // across invocations (and across PRs) without a JSON library:
@@ -164,9 +168,9 @@ double json_number(const std::string& text, const std::string& key, std::size_t 
   return std::atof(text.c_str() + pos + needle.size());
 }
 
-/// events/s under record `key` of the LAST run recorded in a trajectory
+/// `field` under record `key` of the LAST run recorded in a trajectory
 /// file ("the previous BENCH"), or -1 when none is parseable.
-double last_events_per_s(const std::string& path, const std::string& key) {
+double last_number(const std::string& path, const std::string& key, const std::string& field) {
   std::istringstream in(read_file(path));
   std::string line;
   const std::string needle = "\"" + key + "\":";
@@ -174,7 +178,7 @@ double last_events_per_s(const std::string& path, const std::string& key) {
   while (std::getline(in, line)) {
     const auto pos = line.find(needle);
     if (pos == std::string::npos) continue;
-    const double v = json_number(line, "events_per_s", pos, -1.0);
+    const double v = json_number(line, field, pos, -1.0);
     if (v > 0.0) found = v;
   }
   return found;
@@ -192,7 +196,8 @@ int main(int argc, char** argv) {
   double floor_frac = 0.9;
   int reps = 3;
   std::string macro_reps = "10";
-  std::string world_users = "2000";
+  const std::string default_world_users = "2000";
+  std::string world_users = default_world_users;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto next = [&](const char* flag) -> std::string {
@@ -225,15 +230,20 @@ int main(int argc, char** argv) {
   // Read the floor before measuring: --floor-from may name the same
   // file this run appends to.
   double floor_events_per_s = -1.0;
-  double table1_floor_events_per_s = -1.0;  // optional: older files lack the record
+  double table1_floor_wall_s = -1.0;  // optional: older files lack the record
   if (!floor_from.empty()) {
-    floor_events_per_s = last_events_per_s(floor_from, "fig07");
+    if (world_users != default_world_users) {
+      std::cerr << "perf_trajectory: --floor-from compares table1_at_scale at the default "
+                << default_world_users << " users; drop --world-users\n";
+      return 2;
+    }
+    floor_events_per_s = last_number(floor_from, "fig07", "events_per_s");
     if (floor_events_per_s <= 0.0) {
       std::cerr << "perf_trajectory: no fig07 events_per_s found in " << floor_from
                 << "\n";
       return 2;
     }
-    table1_floor_events_per_s = last_events_per_s(floor_from, "table1_at_scale");
+    table1_floor_wall_s = last_number(floor_from, "table1_at_scale", "wall_s");
   }
 
   std::map<std::string, double> best;
@@ -319,19 +329,21 @@ int main(int argc, char** argv) {
       return 3;
     }
     // Same gate for the shared-world bench, once a floor file records it.
-    if (table1_floor_events_per_s > 0.0) {
-      const double t_got = json_number(table1, "events_per_s", 0, -1.0);
+    if (table1_floor_wall_s > 0.0) {
+      const double users = std::atof(world_users.c_str());
+      const double t_wall_s = json_number(table1, "wall_s", 0, -1.0);
+      const double t_got = t_wall_s > 0.0 ? users / t_wall_s : -1.0;
       const double t_allocs = json_number(table1, "allocs", 0, -1.0);
-      const double t_floor = table1_floor_events_per_s * floor_frac;
+      const double t_floor = users / table1_floor_wall_s * floor_frac;
       std::cout << "perf_trajectory: floor check — table1_at_scale " << t_got
-                << " events/s vs floor " << t_floor << ", allocs " << t_allocs << "\n";
+                << " users/s vs floor " << t_floor << ", allocs " << t_allocs << "\n";
       if (t_allocs != 0.0) {
         std::cerr << "perf_trajectory: FAIL — table1_at_scale per-event path allocated"
                      " (allocs=" << t_allocs << ")\n";
         return 3;
       }
       if (t_got < t_floor) {
-        std::cerr << "perf_trajectory: FAIL — table1_at_scale events/s below perf floor\n";
+        std::cerr << "perf_trajectory: FAIL — table1_at_scale users/s below perf floor\n";
         return 3;
       }
     }

@@ -9,7 +9,9 @@
 // sectors, venue backhauls — with O(clusters) aggregation memory?
 //
 // Engine claims this bench machine-checks (via the MN_BENCH_JSON hook):
-//   events/s        shared-world service ticks are span-swept batches
+//   users/s         one simulator event per cell service tick (events/s
+//                   is printed too, but events per user is a property of
+//                   the cell model, so only users/s compares across it)
 //   allocs == 0     steady state stays off the heap fallback path
 //   peak_rss_bytes  streaming sketches, not per-run vectors — memory is
 //                   bounded by clusters x sketch size, not user count
@@ -74,6 +76,7 @@ int main() {
   }
   const double events_per_s =
       wall_s > 0.0 ? static_cast<double>(result.events_fired) * reps / wall_s : 0.0;
+  const double users_per_s = wall_s > 0.0 ? static_cast<double>(users) * reps / wall_s : 0.0;
   const std::int64_t rss = bench::read_peak_rss_bytes();
 
   std::cout << "\n";
@@ -82,7 +85,8 @@ int main() {
                         std::to_string(result.sim_horizon_s) + " s");
   bench::print_measured(std::to_string(result.events_fired) + " events in " +
                         std::to_string(wall_s / reps) + " s wall per rep (" +
-                        std::to_string(events_per_s) + " events/s)");
+                        std::to_string(events_per_s) + " events/s, " +
+                        std::to_string(users_per_s) + " users/s)");
   bench::print_measured("aggregation memory: " +
                         std::to_string(result.stats.memory_bytes()) +
                         " bytes (streaming; independent of user count); peak RSS " +

@@ -168,18 +168,6 @@ class Simulator {
     return schedule_item_at(now_ + delay, sink, item);
   }
 
-  /// File every item in `items` for `sink` at time `at` with
-  /// consecutive sequence numbers.  Because the batch grouper coalesces
-  /// maximal same-tick same-sink consecutive-in-seq runs, the whole
-  /// burst is guaranteed to arrive back as ONE span under batch
-  /// dispatch (and back-to-back width-1 calls with nothing interleaved
-  /// under scalar dispatch).  This is how a cell files one service
-  /// tick's grants so per-tick service is a single span sweep.
-  void schedule_item_burst_at(TimePoint at, SinkId sink,
-                              std::span<const std::uint64_t> items) {
-    for (const std::uint64_t item : items) schedule_item_at(at, sink, item);
-  }
-
   /// Cancel a pending event.  Cancelling an already-fired or unknown id
   /// is a no-op (the common race when a timer fires while being reset).
   void cancel(EventId id);

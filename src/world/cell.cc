@@ -20,13 +20,16 @@ std::uint64_t mix64(std::uint64_t x) {
 }  // namespace
 
 CellBase::CellBase(Simulator& sim, CellConfig cfg) : sim_(sim), cfg_(std::move(cfg)) {
-  sink_id_ = sim_.register_sink([this](SinkSpan items) { on_items(items); });
+  // One tick item per span in either dispatch mode: a cell never has
+  // two ticks in flight.
+  sink_id_ = sim_.register_sink([this](SinkSpan items) {
+    for (std::size_t i = 0; i < items.size(); ++i) on_tick();
+  });
   stations_.reserve(cfg_.station_capacity);
   free_slots_.reserve(cfg_.station_capacity);
   const auto k = static_cast<std::size_t>(std::max(1, cfg_.grants_per_tick));
-  scratch_slots_.resize(k);
-  scratch_bytes_.resize(k);
-  scratch_items_.resize(k);
+  planned_.resize(k);
+  serving_.resize(k);
   if (sim_.obs() != nullptr) {
     reg_ = &sim_.obs()->metrics();
     m_active_ = reg_->gauge(cfg_.name + ".active_stations");
@@ -44,7 +47,6 @@ StationId CellBase::attach(GrantSink* sink, std::uint32_t tag, double phy_mbps) 
     free_slots_.pop_back();
   } else {
     slot = static_cast<std::uint32_t>(stations_.size());
-    assert(slot < kWakeSlot && "cell station table exceeds the 20-bit slot space");
     stations_.emplace_back();
   }
   Station& st = stations_[slot];
@@ -56,14 +58,11 @@ StationId CellBase::attach(GrantSink* sink, std::uint32_t tag, double phy_mbps) 
   st.pf_last_tick = 0;
   link_active(slot);
   ++active_;
-  // An idle cell (no grant or wake item in flight) must restart its
-  // tick chain.  The wake lands one service tick out: the chain's
-  // selection step runs there and grants begin the tick after — the
+  // An idle cell (no tick in flight) must restart its tick chain.  The
+  // wake is a tick with an empty plan one service tick out: selection
+  // runs there and grants begin the tick after — the
   // association/scheduling-request latency a real station pays.
-  if (armed_ == 0) {
-    sim_.schedule_item_at(sim_.now() + cfg_.service_tick, sink_id_, pack(kWakeSlot, 0, 0));
-    armed_ = 1;
-  }
+  if (!armed_) arm();
   return {slot, st.generation};
 }
 
@@ -118,36 +117,34 @@ void CellBase::unlink_active(std::uint32_t slot) {
   if (cursor_ == slot) cursor_ = st.next;
 }
 
-void CellBase::on_items(SinkSpan items) {
-  // One span per service tick under batch dispatch; the same items
-  // arrive back-to-back width-1 under scalar dispatch.  handle_item is
-  // the shared per-item path, so the two modes execute identical logic
-  // in identical (time, seq) order — that is the whole invariance
-  // argument, no mode-specific branches anywhere below.
-  for (const std::uint64_t item : items) handle_item(item);
+void CellBase::arm() {
+  sim_.schedule_item_at(sim_.now() + cfg_.service_tick, sink_id_, 0);
+  armed_ = true;
 }
 
-void CellBase::handle_item(std::uint64_t item) {
+void CellBase::on_tick() {
+  armed_ = false;
+  std::swap(planned_, serving_);
+  const int n = planned_count_;
+  planned_count_ = 0;
+  // Plan the NEXT tick on pre-commit state, before any of this tick's
+  // grants land.
+  select_and_arm();
   const TimePoint now = sim_.now();
-  if (now.usec() != cur_tick_us_) {
-    // First item of this tick: run grant selection for the NEXT tick on
-    // pre-commit state, before any of this tick's grants land.  Keyed
-    // on the tick value so it runs exactly once per tick regardless of
-    // dispatch mode or span width.
-    cur_tick_us_ = now.usec();
-    select_and_arm();
-  }
-  --armed_;
-  const auto slot = static_cast<std::uint32_t>(item & kWakeSlot);
-  if (slot == kWakeSlot) return;  // wake marker: selection already ran
-  const auto gen = static_cast<std::uint32_t>((item >> kSlotBits) & ((1u << kGenBits) - 1));
-  const auto planned = static_cast<std::int64_t>(item >> (kSlotBits + kGenBits));
-  Station& st = stations_[slot];
-  if (!st.active || (st.generation & ((1u << kGenBits) - 1)) != gen) return;  // stale grant
-  std::int64_t offered = planned;
+  const std::int64_t tick_index = now.usec() / cfg_.service_tick.usec();
+  for (int j = 0; j < n; ++j) commit(serving_[static_cast<std::size_t>(j)], now, tick_index);
+}
+
+void CellBase::commit(const Grant& g, TimePoint now, std::int64_t tick_index) {
+  const auto current = [&] {
+    const Station& st = stations_[g.slot];
+    return st.active && st.generation == g.generation;
+  };
+  if (!current()) return;  // stale grant: the station detached since selection
+  std::int64_t offered = g.bytes;
   if (cfg_.backhaul != nullptr) offered = cfg_.backhaul->draw(now, offered);
   std::int64_t accepted = 0;
-  if (offered > 0) accepted = st.sink->on_grant(st.tag, offered);
+  if (offered > 0) accepted = stations_[g.slot].sink->on_grant(stations_[g.slot].tag, offered);
   if (cfg_.backhaul != nullptr && accepted < offered) cfg_.backhaul->refund(offered - accepted);
   ++grants_;
   granted_bytes_ += accepted;
@@ -155,35 +152,28 @@ void CellBase::handle_item(std::uint64_t item) {
     reg_->add(m_grants_);
     reg_->add(m_granted_bytes_, accepted);
   }
-  // on_grant may have detached/reattached this very station; fold PF
-  // state only if the grantee is still the station we served.
-  if (st.active && (st.generation & ((1u << kGenBits) - 1)) == gen) {
-    on_committed(st, accepted, now.usec() / cfg_.service_tick.usec());
-  }
+  // on_grant may have detached/reattached this very station (or grown
+  // the station table); fold PF state only if the grantee is still the
+  // station we served.
+  if (current()) on_committed(stations_[g.slot], accepted, tick_index);
 }
 
 void CellBase::select_and_arm() {
-  const TimePoint now = sim_.now();
   if (reg_ != nullptr) reg_->set(m_active_, active_);
   if (active_ == 0) return;  // cell drains; the next attach re-arms it
-  const std::int64_t tick_index = now.usec() / cfg_.service_tick.usec();
-  const int k = select_grants(tick_index, scratch_slots_.data(), scratch_bytes_.data());
+  const std::int64_t tick_index = sim_.now().usec() / cfg_.service_tick.usec();
+  const int k = select_grants(tick_index, planned_.data());
   if (k <= 0) return;
   for (int j = 0; j < k; ++j) {
-    scratch_items_[static_cast<std::size_t>(j)] =
-        pack(scratch_slots_[static_cast<std::size_t>(j)],
-             stations_[scratch_slots_[static_cast<std::size_t>(j)]].generation,
-             scratch_bytes_[static_cast<std::size_t>(j)]);
+    Grant& g = planned_[static_cast<std::size_t>(j)];
+    g.generation = stations_[g.slot].generation;
   }
-  sim_.schedule_item_burst_at(
-      now + cfg_.service_tick, sink_id_,
-      std::span<const std::uint64_t>(scratch_items_.data(), static_cast<std::size_t>(k)));
-  armed_ += k;
+  planned_count_ = k;
+  arm();
   if (reg_ != nullptr) reg_->add(m_busy_us_, cfg_.service_tick.usec());
 }
 
-int WifiCell::select_grants(std::int64_t /*tick_index*/, std::uint32_t* slots,
-                            std::int64_t* bytes) {
+int WifiCell::select_grants(std::int64_t /*tick_index*/, Grant* plan) {
   const int n = active_;
   const int k = std::min(cfg_.grants_per_tick, n);
   // DCF airtime fairness: the tick is split into k equal transmit
@@ -195,8 +185,8 @@ int WifiCell::select_grants(std::int64_t /*tick_index*/, std::uint32_t* slots,
   const double eff = efficiency(n);
   for (int j = 0; j < k; ++j) {
     const std::uint32_t slot = take_cursor();
-    slots[j] = slot;
-    bytes[j] = std::max<std::int64_t>(
+    plan[j].slot = slot;
+    plan[j].bytes = std::max<std::int64_t>(
         1, static_cast<std::int64_t>(static_cast<double>(stations_[slot].phy_mbps) * 1e6 /
                                      8.0 * eff * share_s));
   }
@@ -230,8 +220,7 @@ double LteSector::decay_pow(std::int64_t ticks) const {
   return decay_table_[i];
 }
 
-int LteSector::select_grants(std::int64_t tick_index, std::uint32_t* slots,
-                             std::int64_t* bytes) {
+int LteSector::select_grants(std::int64_t tick_index, Grant* plan) {
   const int n = active_;
   const int window = std::min(opt_.pf_window, n);
   const int k = std::min(cfg_.grants_per_tick, window);
@@ -266,8 +255,8 @@ int LteSector::select_grants(std::int64_t tick_index, std::uint32_t* slots,
       }
     }
     std::swap(cand[static_cast<std::size_t>(j)], cand[static_cast<std::size_t>(best)]);
-    slots[j] = cand[static_cast<std::size_t>(j)].slot;
-    bytes[j] = std::max<std::int64_t>(
+    plan[j].slot = cand[static_cast<std::size_t>(j)].slot;
+    plan[j].bytes = std::max<std::int64_t>(
         1, static_cast<std::int64_t>(
                static_cast<double>(cand[static_cast<std::size_t>(j)].inst_mbps) * 1e6 / 8.0 *
                share_s));

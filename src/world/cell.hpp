@@ -23,15 +23,16 @@
 //                cluster, drawn at grant-commit time in (time, seq)
 //                order.
 //
-// Mechanically both cells are *batch sinks* on the simulator's sink
-// ABI.  A cell files one burst of grant items per service tick
-// (consecutive seqs, one tick), so the whole tick's service arrives
-// back as ONE span sweep under batch dispatch and as back-to-back
-// width-1 calls under scalar dispatch.  The handler keeps the two modes
-// bit-identical by construction: grant *selection* runs once per tick
-// keyed on the tick value, before any of that tick's commits, and every
-// commit touches only per-station state plus the backhaul bucket in
-// (time, seq) order.
+// Mechanically each cell owns ONE simulator event per service tick.
+// Selection plans a tick's grants ({slot, generation, bytes}) into a
+// double buffer held by the cell, sized grants_per_tick at
+// construction; only the tick itself rides the event wheel.  When the
+// tick fires the cell swaps the buffers, runs selection for the NEXT
+// tick on pre-commit state, then commits the held grants in plan order
+// (backhaul draw, on_grant, PF fold).  Nothing else can interleave
+// with a tick, so batched and scalar dispatch run identical logic in
+// identical order by construction.  An idle cell files the same tick
+// item with an empty plan when its first station attaches.
 //
 // Stations are generation-tagged (the simulator's own slot-reuse
 // discipline): a grant scheduled for a station that detaches before the
@@ -91,10 +92,10 @@ class Backhaul {
   }
 
   /// Return bytes a grant did not use (flow smaller than the offer).
+  /// Declined bytes were never wanted, so they are not throttled.
   void refund(std::int64_t bytes) {
     tokens_ = std::min(burst_bytes_, tokens_ + bytes);
     granted_ -= bytes;
-    throttled_ += bytes;
   }
 
   [[nodiscard]] std::int64_t granted_bytes() const { return granted_; }
@@ -174,11 +175,17 @@ class CellBase {
     std::int64_t pf_last_tick = 0;
   };
 
-  /// Fill `slots`/`bytes` (capacity grants_per_tick) with this tick's
-  /// grants; returns how many were planned.  Runs once per tick, before
-  /// any of the tick's commits, on pre-commit state.
-  virtual int select_grants(std::int64_t tick_index, std::uint32_t* slots,
-                            std::int64_t* bytes) = 0;
+  /// One planned grant, held by the cell from selection to commit.
+  struct Grant {
+    std::uint32_t slot = 0;
+    std::uint32_t generation = 0;
+    std::int64_t bytes = 0;
+  };
+
+  /// Fill `slot`/`bytes` of `plan` (capacity grants_per_tick) with the
+  /// next tick's grants; returns how many were planned.  Runs once per
+  /// tick, before any of the tick's commits, on pre-commit state.
+  virtual int select_grants(std::int64_t tick_index, Grant* plan) = 0;
   /// Commit-side hook (PF EWMA fold); called only for non-stale grants.
   virtual void on_committed(Station& st, std::int64_t accepted_bytes,
                             std::int64_t tick_index) {
@@ -198,32 +205,21 @@ class CellBase {
   int active_ = 0;
 
  private:
-  // Grant items pack (bytes:32 | generation:12 | slot:20); planned bytes
-  // ride in the item itself so a station selected in consecutive ticks
-  // never clobbers an in-flight grant's size.
-  static constexpr int kSlotBits = 20;
-  static constexpr int kGenBits = 12;
-  static constexpr std::uint32_t kWakeSlot = (1u << kSlotBits) - 1;
-
-  static std::uint64_t pack(std::uint32_t slot, std::uint32_t gen, std::int64_t bytes) {
-    return (static_cast<std::uint64_t>(bytes) << (kSlotBits + kGenBits)) |
-           (static_cast<std::uint64_t>(gen & ((1u << kGenBits) - 1)) << kSlotBits) |
-           slot;
-  }
-
-  void on_items(SinkSpan items);
-  void handle_item(std::uint64_t item);
+  void on_tick();
+  void commit(const Grant& g, TimePoint now, std::int64_t tick_index);
   void select_and_arm();
+  void arm();
   void link_active(std::uint32_t slot);
   void unlink_active(std::uint32_t slot);
 
   SinkId sink_id_;
-  std::int64_t cur_tick_us_ = -1;  // tick whose selection already ran
-  int armed_ = 0;                  // scheduled-but-unfired grant/wake items
-  // Per-selection scratch (preallocated; sized grants_per_tick).
-  std::vector<std::uint32_t> scratch_slots_;
-  std::vector<std::int64_t> scratch_bytes_;
-  std::vector<std::uint64_t> scratch_items_;
+  bool armed_ = false;  // this cell's tick item is in flight
+  // Grant double buffer (each sized grants_per_tick): selection fills
+  // planned_ for the next tick while serving_ holds the tick now being
+  // committed.
+  std::vector<Grant> planned_;
+  std::vector<Grant> serving_;
+  int planned_count_ = 0;
 
   std::uint64_t grants_ = 0;
   std::int64_t granted_bytes_ = 0;
@@ -255,8 +251,7 @@ class WifiCell final : public CellBase {
   }
 
  protected:
-  int select_grants(std::int64_t tick_index, std::uint32_t* slots,
-                    std::int64_t* bytes) override;
+  int select_grants(std::int64_t tick_index, Grant* plan) override;
 
  private:
   Options opt_;
@@ -288,8 +283,7 @@ class LteSector final : public CellBase {
   [[nodiscard]] double fading(std::uint32_t tag, std::int64_t tick_index) const;
 
  protected:
-  int select_grants(std::int64_t tick_index, std::uint32_t* slots,
-                    std::int64_t* bytes) override;
+  int select_grants(std::int64_t tick_index, Grant* plan) override;
   void on_committed(Station& st, std::int64_t accepted_bytes,
                     std::int64_t tick_index) override;
 

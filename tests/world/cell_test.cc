@@ -248,5 +248,105 @@ TEST(CellBase, SteadyStateGrantPathStaysOffTheHeap) {
   for (const Backlog& u : users) EXPECT_EQ(u.remaining, 0);
 }
 
+TEST(Backhaul, RefundOfDeclinedBytesIsNotThrottling) {
+  // A full bucket offers 1000 B to a flow that needs only 300 B: the
+  // 700 B it declines go back to the bucket and were never throttled.
+  Backhaul bh(/*rate_mbps=*/8.0, /*burst=*/msec(20));
+  const std::int64_t offered = bh.draw(TimePoint{}, 1000);
+  ASSERT_EQ(offered, 1000);
+  bh.refund(offered - 300);
+  EXPECT_EQ(bh.throttled_bytes(), 0);
+  EXPECT_EQ(bh.granted_bytes(), 300);
+
+  // Same through a cell: an ample bucket and a flow smaller than its
+  // first grant.
+  Simulator sim;
+  Backhaul ample(/*rate_mbps=*/100.0, /*burst=*/msec(20));
+  WifiCell cell(sim, cfg("w", &ample));
+  Backlog u;
+  u.cell = &cell;
+  u.remaining = 300;
+  u.id = cell.attach(&u, 0, 10.0);
+  sim.run_until_idle();
+  EXPECT_EQ(u.taken, 300);
+  EXPECT_EQ(ample.throttled_bytes(), 0);
+  EXPECT_EQ(ample.granted_bytes(), 300);
+}
+
+TEST(CellBase, OneTickEventPerCellHowEverManyStations) {
+  Simulator sim;
+  WifiCell wifi(sim, cfg("w"));
+  LteSector lte(sim, cfg("l"));
+  std::vector<Backlog> users(128);
+  for (std::uint32_t i = 0; i < users.size(); ++i) {
+    CellBase& cell = i < 64 ? static_cast<CellBase&>(wifi) : lte;
+    users[i].cell = &cell;
+    users[i].remaining = 1'000'000'000;  // never drains during the test
+    users[i].id = cell.attach(&users[i], i, 20.0);
+  }
+  const TimePoint end = TimePoint{} + msec(5) * 1000;
+  std::size_t max_pending = sim.pending_events();
+  while (sim.now() < end && sim.step()) max_pending = std::max(max_pending, sim.pending_events());
+  EXPECT_EQ(max_pending, 2u);  // each cell's next tick, nothing per grant
+  EXPECT_EQ(wifi.active_stations(), 64);
+  EXPECT_EQ(lte.active_stations(), 64);
+  EXPECT_GT(wifi.grants(), 900u * 8u);
+  EXPECT_GT(lte.grants(), 900u * 8u);
+  for (Backlog& u : users) u.cell->detach(u.id);
+}
+
+/// Detaches and re-attaches to the same cell inside every grant — the
+/// LTE -> MPTCP hand-over ClusterWorld makes.
+struct Reattacher final : GrantSink {
+  CellBase* cell = nullptr;
+  StationId id;
+  int grants = 0;
+
+  std::int64_t on_grant(std::uint32_t tag, std::int64_t offered) override {
+    ++grants;
+    cell->detach(id);
+    id = cell->attach(this, tag, 10.0);
+    return offered;
+  }
+};
+
+TEST(CellBase, SelfReattachInsideGrantKeepsReceivingGrants) {
+  for (const bool batched : {true, false}) {
+    for (const bool lte : {false, true}) {
+      Simulator sim;
+      sim.set_batch_dispatch(batched);
+      WifiCell wifi(sim, cfg("w"));
+      LteSector sector(sim, cfg("l"));
+      CellBase& cell = lte ? static_cast<CellBase&>(sector) : wifi;
+      Reattacher r;
+      r.cell = &cell;
+      r.id = cell.attach(&r, 0, 10.0);
+      sim.run_until(TimePoint{} + sec(1));
+      // 200 ticks: the grant planned before each re-attach goes stale,
+      // the next one lands, so every other tick serves the station.
+      EXPECT_GE(r.grants, 95) << "batched=" << batched << " lte=" << lte;
+      EXPECT_TRUE(cell.is_attached(r.id));
+      EXPECT_EQ(cell.active_stations(), 1);
+      cell.detach(r.id);
+    }
+  }
+}
+
+TEST(CellBase, GrantAbove4GiBIsExact) {
+  Simulator sim;
+  CellConfig c = cfg("w");
+  c.service_tick = sec(1);
+  WifiCell cell(sim, c);
+  Backlog u;
+  u.remaining = std::int64_t{1} << 40;
+  // 40 Gbit/s for a 1 s tick: one 5 GB grant, past 32 bits.
+  u.id = cell.attach(&u, 0, 40'000.0);
+  sim.run_until(TimePoint{} + sec(2));
+  EXPECT_EQ(u.grants, 1);
+  EXPECT_EQ(u.taken, 5'000'000'000);
+  EXPECT_EQ(cell.granted_bytes(), 5'000'000'000);
+  cell.detach(u.id);
+}
+
 }  // namespace
 }  // namespace mn::world
