@@ -1,6 +1,7 @@
 #include "core/experiment.hpp"
 
 #include <stdexcept>
+#include <utility>
 
 #include "faults/fault_injector.hpp"
 #include "store/codec.hpp"
@@ -68,39 +69,26 @@ TransportFlowResult run_transport_flow(Simulator& sim, const MpNetworkSetup& net
       injector.arm(*options.faults);
     }
     BulkFlowOptions flow_options;
-    flow_options.timeout = options.timeout;
-    flow_options.stall_limit = options.stall_limit;
-    const FlowResult r = run_bulk_flow(sim, path, bytes, dir, reno_factory(), flow_options);
-    out.completed = r.completed;
-    out.completion_time = r.completion_time;
-    out.throughput_mbps = r.throughput_mbps;
-    out.timeline = r.timeline;
-    out.stall_time = r.max_stall;
-    out.failure_reason = r.failure_reason;
+    static_cast<FlowLimits&>(flow_options) = options;
+    static_cast<FlowOutcome&>(out) =
+        run_bulk_flow(sim, path, bytes, dir, reno_factory(), flow_options);
     return out;
   }
   FaultInjector injector{sim};
   FlowRunOptions flow_options;
-  flow_options.timeout = options.timeout;
-  flow_options.stall_limit = options.stall_limit;
+  static_cast<FlowLimits&>(flow_options) = options;
   if (options.faults) {
     flow_options.on_testbed = [&injector, &options](MptcpTestbed& bed) {
       for (const PathId p : kPaths) injector.set_target(p, &bed.path(p), &bed.iface(p));
       injector.arm(*options.faults);
     };
   }
-  const MptcpFlowResult r = run_mptcp_flow(sim, net, config.mp, bytes, dir, flow_options);
+  MptcpFlowResult r = run_mptcp_flow(sim, net, config.mp, bytes, dir, flow_options);
   // The testbed is gone once run_mptcp_flow returns; drop any event still
   // scheduled against it before this scope's own teardown.
   injector.disarm();
-  out.completed = r.completed;
-  out.completion_time = r.completion_time;
-  out.throughput_mbps = r.throughput_mbps;
-  out.timeline = r.timeline;
-  out.subflow_timelines = r.subflow_timelines;
-  out.subflow_paths = r.subflow_paths;
-  out.stall_time = r.max_stall;
-  out.failure_reason = r.failure_reason;
+  static_cast<FlowOutcome&>(out) = std::move(static_cast<FlowOutcome&>(r));
+  static_cast<SubflowTimelines&>(out) = std::move(static_cast<SubflowTimelines&>(r));
   return out;
 }
 
@@ -108,10 +96,7 @@ TransportFlowResult run_transport_flow(Simulator& sim, const MpNetworkSetup& net
                                        const TransportConfig& config, std::int64_t bytes,
                                        Direction dir, Duration timeout) {
   TransportRunOptions options;
-  options.timeout = timeout;
-  // Legacy contract: wall-clock cap only (scripted failure experiments
-  // hold flows stalled for tens of seconds on purpose).
-  options.stall_limit = timeout;
+  options.cap_only(timeout);
   return run_transport_flow(sim, net, config, bytes, dir, options);
 }
 

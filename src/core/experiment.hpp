@@ -16,28 +16,12 @@
 
 namespace mn {
 
-/// Uniform result for single-path and MPTCP flows.
-struct TransportFlowResult {
-  bool completed = false;
-  Duration completion_time{0};
-  double throughput_mbps = 0.0;
-  /// Client-observed cumulative-bytes timeline (relative to first SYN).
-  std::vector<TimelinePoint> timeline;
-  /// MPTCP only: per-subflow client timelines (empty for single path).
-  std::array<std::vector<TimelinePoint>, 2> subflow_timelines;
-  std::array<PathId, 2> subflow_paths{PathId::kWifi, PathId::kLte};
-  /// Longest gap between progress events seen by the watchdog.
-  Duration stall_time{0};
-  /// Why the flow did not complete ("" when it did): "stall: ...",
-  /// "timeout", or "idle: ...".
-  std::string failure_reason;
-};
+/// Uniform result for single-path and MPTCP flows; the subflow
+/// timelines are MPTCP only (empty for single path).
+struct TransportFlowResult : FlowOutcome, SubflowTimelines {};
 
 /// Knobs for run_transport_flow beyond the flow itself.
-struct TransportRunOptions {
-  Duration timeout = sec(120);
-  /// Watchdog bound: abort once no progress is made for this long.
-  Duration stall_limit = sec(30);
+struct TransportRunOptions : FlowLimits {
   /// Optional fault schedule, armed against the flow's path(s) at start
   /// (not owned; must outlive the call).
   const FaultPlan* faults = nullptr;

@@ -38,7 +38,7 @@ MptcpTestbed::MptcpTestbed(Simulator& sim, const MpNetworkSetup& setup, MptcpSpe
       client_(std::make_unique<MptcpAgent>(sim, connection_id, spec, /*is_client=*/true)),
       server_(std::make_unique<MptcpAgent>(sim, connection_id, spec, /*is_client=*/false)),
       meters_{EnergyMeter{wifi_power_params()}, EnergyMeter{lte_power_params()}} {
-  for (int id = 0; id < 2; ++id) {
+  for (int id = 0; id < std::ssize(kPaths); ++id) {
     const PathId path = client_->subflow_path(id);
     NetworkInterface* iface = &net_.iface(path);
     client_->set_transmit(id, [iface](Packet p) { iface->send(std::move(p)); });
@@ -101,7 +101,7 @@ std::uint64_t MptcpTestbed::progress_signature() const {
   for (const MptcpAgent* agent : {client_.get(), server_.get()}) {
     sig += static_cast<std::uint64_t>(agent->data_acked());
     sig += static_cast<std::uint64_t>(agent->data_delivered());
-    for (int id = 0; id < 2; ++id) {
+    for (int id = 0; id < std::ssize(kPaths); ++id) {
       const TcpEndpoint& ep = agent->subflow(id);
       sig += static_cast<std::uint64_t>(ep.bytes_acked());
       sig += static_cast<std::uint64_t>(ep.bytes_delivered());
@@ -112,41 +112,10 @@ std::uint64_t MptcpTestbed::progress_signature() const {
 }
 
 WatchdogResult MptcpTestbed::run_with_watchdog(Duration timeout, Duration stall_limit) {
-  WatchdogResult result;
-  const TimePoint deadline = sim_.now() + timeout;
-  // The watchdog is a *simulator* event, so the stall bound holds even
-  // when the next real event is far away (exponential RTO backoff can
-  // leave minute-long gaps in the queue).
-  bool stalled = false;
-  Timer watchdog{sim_, [&stalled] { stalled = true; }};
-  watchdog.restart(stall_limit);
-  std::uint64_t last_sig = progress_signature();
-  TimePoint last_progress = sim_.now();
-
-  while (!(client_->finished() && server_->finished())) {
-    if (stalled || sim_.now() >= deadline) break;
-    if (!sim_.step()) break;
-    const std::uint64_t sig = progress_signature();
-    if (sig != last_sig) {
-      result.max_stall = std::max(result.max_stall, sim_.now() - last_progress);
-      last_sig = sig;
-      last_progress = sim_.now();
-      watchdog.restart(stall_limit);
-    }
-  }
-  result.max_stall = std::max(result.max_stall, sim_.now() - last_progress);
-
-  if (client_->finished() && server_->finished()) {
-    result.completed = true;
-  } else if (stalled) {
-    result.reason = "stall: no progress for " + std::to_string(stall_limit.usec() / 1000) +
-                    " ms";
-  } else if (sim_.now() >= deadline) {
-    result.reason = "timeout";
-    if (auto* o = sim_.obs()) o->count(o->ids().mptcp_run_timeouts);
-  } else {
-    result.reason = "idle: event queue drained before completion";
-  }
+  WatchdogResult result = run_watched(
+      sim_, timeout, stall_limit, [this] { return client_->finished() && server_->finished(); },
+      [this] { return progress_signature(); });
+  if (auto* o = sim_.obs(); o && result.reason == "timeout") o->count(o->ids().mptcp_run_timeouts);
   return result;
 }
 
@@ -166,9 +135,7 @@ MptcpFlowResult run_mptcp_flow(Simulator& sim, const MpNetworkSetup& setup,
   if (options.on_testbed) options.on_testbed(bed);
   bed.start_transfer(bytes, dir);
   const WatchdogResult watchdog = bed.run_with_watchdog(options.timeout, options.stall_limit);
-  result.max_stall = watchdog.max_stall;
   if (!watchdog.completed) {
-    result.failure_reason = watchdog.reason;
     // Quiesce the agents so the caller can drain the simulator without
     // RTO timers rescheduling forever.
     bed.shutdown();
@@ -201,39 +168,17 @@ MptcpFlowResult run_mptcp_flow(Simulator& sim, const MpNetworkSetup& setup,
 
   // Client-observed data-level clock: delivered for downloads, acked for
   // uploads (the paper measures at the phone's tcpdump).
-  const auto& tl = (dir == Direction::kDownload) ? bed.client().delivered_timeline()
-                                                 : bed.client().acked_timeline();
-  result.timeline.reserve(tl.size());
-  for (const auto& pt : tl) {
-    result.timeline.push_back({TimePoint{(pt.t - start).usec()}, pt.bytes});
+  const bool down = dir == Direction::kDownload;
+  const MptcpAgent& client = bed.client();
+  result.timeline =
+      rebase_timeline(down ? client.delivered_timeline() : client.acked_timeline(), start);
+  for (int id = 0; id < std::ssize(kPaths); ++id) {
+    const TcpEndpoint& sf = client.subflow(id);
+    result.subflow_paths[static_cast<std::size_t>(id)] = client.subflow_path(id);
+    result.subflow_timelines[static_cast<std::size_t>(id)] =
+        rebase_timeline(down ? sf.delivered_timeline() : sf.acked_timeline(), start);
   }
-  for (int id = 0; id < 2; ++id) {
-    result.subflow_paths[static_cast<std::size_t>(id)] = bed.client().subflow_path(id);
-    const auto& stl = (dir == Direction::kDownload)
-                          ? bed.client().subflow(id).delivered_timeline()
-                          : bed.client().subflow(id).acked_timeline();
-    auto& out = result.subflow_timelines[static_cast<std::size_t>(id)];
-    out.reserve(stl.size());
-    for (const auto& pt : stl) {
-      out.push_back({TimePoint{(pt.t - start).usec()}, pt.bytes});
-    }
-  }
-
-  const std::int64_t observed = result.timeline.empty() ? 0 : result.timeline.back().bytes;
-  if (observed >= bytes) {
-    result.completed = true;
-    for (const auto& pt : result.timeline) {
-      if (pt.bytes >= bytes) {
-        result.completion_time = Duration{pt.t.usec()};
-        break;
-      }
-    }
-    result.throughput_mbps = throughput_mbps(bytes, result.completion_time);
-  } else {
-    result.completion_time = options.timeout;
-    result.throughput_mbps = throughput_mbps(observed, options.timeout);
-    if (result.failure_reason.empty()) result.failure_reason = "incomplete";
-  }
+  settle_flow(result, bytes, options.timeout, watchdog);
   return result;
 }
 
@@ -241,11 +186,7 @@ MptcpFlowResult run_mptcp_flow(Simulator& sim, const MpNetworkSetup& setup,
                                const MptcpSpec& spec, std::int64_t bytes, Direction dir,
                                Duration timeout, std::uint64_t connection_id) {
   FlowRunOptions options;
-  options.timeout = timeout;
-  // Preserve the legacy contract: a plain wall-clock cap.  The paper's
-  // scripted failure experiments deliberately hold a flow stalled for
-  // tens of seconds (Figure 15g), so no stall bound here.
-  options.stall_limit = timeout;
+  options.cap_only(timeout);
   options.connection_id = connection_id;
   return run_mptcp_flow(sim, setup, spec, bytes, dir, options);
 }

@@ -34,7 +34,7 @@ struct PathSetup {
 
 /// Both networks of the multi-homed client, indexed by PathId.
 struct MpNetworkSetup {
-  std::array<PathSetup, 2> paths{
+  std::array<PathSetup, kPaths.size()> paths{
       PathSetup{}, PathSetup{.up = {}, .down = {}, .reports_carrier_loss = false}};
 
   [[nodiscard]] PathSetup& operator[](PathId p) { return paths[static_cast<std::size_t>(p)]; }
@@ -83,8 +83,8 @@ class MpNetwork {
   }
 
  private:
-  std::array<std::unique_ptr<DuplexPath>, 2> paths_;         // index = PathId
-  std::array<std::unique_ptr<NetworkInterface>, 2> ifaces_;  // index = PathId
+  std::array<std::unique_ptr<DuplexPath>, kPaths.size()> paths_;        // index = PathId
+  std::array<std::unique_ptr<NetworkInterface>, kPaths.size()> ifaces_;  // index = PathId
 };
 
 /// One packet crossing a client interface.
@@ -93,17 +93,6 @@ struct PacketEvent {
   PacketDir dir = PacketDir::kSent;
   TcpFlags flags;
   std::int64_t payload = 0;
-};
-
-/// Outcome of MptcpTestbed::run_with_watchdog.
-struct WatchdogResult {
-  bool completed = false;
-  /// Longest observed gap between two progress-signature changes.  The
-  /// watchdog guarantees max_stall <= stall_limit even when the event
-  /// queue is sparse (60s RTO-backoff gaps on a blackholed path).
-  Duration max_stall{0};
-  /// Empty on success; "stall", "timeout" or "idle" otherwise.
-  std::string reason;
 };
 
 class MptcpTestbed {
@@ -135,18 +124,21 @@ class MptcpTestbed {
 
   /// Begin a bulk transfer: server.listen + client.connect + data enqueue.
   void start_transfer(std::int64_t bytes, Direction dir);
-  /// Step the simulator until both agents finish or `timeout` elapses.
+  /// Step the simulator until both agents finish or `timeout` elapses,
+  /// with no stall bound (the scripted Figure-15g stalls need that).
   /// Returns true when the transfer completed cleanly.  The result must
   /// not be ignored: a timed-out run left the agents mid-flow, and
   /// reading sim.now() as a completion time silently reports the
   /// timeout as the result.  Timeouts count as mptcp.run_timeouts.
   [[nodiscard]] bool run_until_finished(Duration timeout);
-  /// Like run_until_finished, but also aborts when no *progress* has been
-  /// made for `stall_limit` — wall-clock caps alone let a blackholed flow
-  /// burn the whole timeout retransmitting into the void.
+  /// Like run_until_finished, but under the one flow watchdog
+  /// (run_watched, tcp/flow.hpp): also aborts when progress_signature()
+  /// has not changed for `stall_limit` — wall-clock caps alone let a
+  /// blackholed flow burn the whole timeout retransmitting into the void.
   [[nodiscard]] WatchdogResult run_with_watchdog(Duration timeout, Duration stall_limit);
-  /// Hash of the monotone transfer counters on both ends.  Changes iff
-  /// the flow made real progress; retransmit/RTO counts are deliberately
+  /// The progress signature run_with_watchdog watches: a weighted sum of
+  /// the monotone transfer counters on both ends.  Changes iff the flow
+  /// made real progress; retransmit/RTO counts are deliberately
   /// excluded (endless retransmission into a blackhole is not progress).
   [[nodiscard]] std::uint64_t progress_signature() const;
   /// Freeze both agents (all subflow timers stopped).  After an aborted
@@ -158,20 +150,22 @@ class MptcpTestbed {
   MpNetwork net_;  // built before the agents: sink registration order
   std::unique_ptr<MptcpAgent> client_;
   std::unique_ptr<MptcpAgent> server_;
-  std::array<std::vector<PacketEvent>, 2> events_;
-  std::array<EnergyMeter, 2> meters_;  // index = PathId
+  std::array<std::vector<PacketEvent>, kPaths.size()> events_;
+  std::array<EnergyMeter, kPaths.size()> meters_;  // index = PathId
 };
 
-/// Result of one MPTCP bulk flow (run_mptcp_flow).
-struct MptcpFlowResult {
-  bool completed = false;
-  Duration completion_time{0};  // first SYN -> all data observed at client
-  double throughput_mbps = 0.0;
+/// Client-observed per-subflow byte timelines (index = subflow id;
+/// subflow 0 is on the primary network).
+struct SubflowTimelines {
+  std::array<std::vector<TimelinePoint>, kPaths.size()> subflow_timelines;
+  std::array<PathId, kPaths.size()> subflow_paths{PathId::kWifi, PathId::kLte};
+};
+
+/// Result of one MPTCP bulk flow (run_mptcp_flow).  The FlowOutcome
+/// timeline is the client-observed MPTCP data-level timeline; its clock
+/// runs from the first SYN to all data observed at the client.
+struct MptcpFlowResult : FlowOutcome, SubflowTimelines {
   Duration primary_established{0};
-  /// Longest progress gap observed by the watchdog.
-  Duration max_stall{0};
-  /// Why the flow did not complete ("" when it did).
-  std::string failure_reason;
   /// How multipath negotiation settled (client view; middlebox realism).
   MpNegotiation negotiation = MpNegotiation::kNegotiating;
   /// MP_CAPABLE survived the primary handshake end to end.
@@ -190,19 +184,10 @@ struct MptcpFlowResult {
   /// start to end-of-run + 20 s so the LTE tail is fully charged.
   double energy_wifi_j = 0.0;
   double energy_lte_j = 0.0;
-  /// Client-observed MPTCP data-level timeline (relative to first SYN).
-  std::vector<TimelinePoint> timeline;
-  /// Client-observed per-subflow byte timelines (index = subflow id;
-  /// subflow 0 is on the primary network).
-  std::array<std::vector<TimelinePoint>, 2> subflow_timelines;
-  std::array<PathId, 2> subflow_paths{PathId::kWifi, PathId::kLte};
 };
 
 /// Knobs for run_mptcp_flow beyond the flow itself.
-struct FlowRunOptions {
-  Duration timeout = sec(120);
-  /// Abort when no progress for this long (watchdog bound).
-  Duration stall_limit = sec(30);
+struct FlowRunOptions : FlowLimits {
   std::uint64_t connection_id = 1;
   /// Called after the testbed is wired but before the transfer starts;
   /// the fault layer uses this to arm a FaultInjector against the bed's

@@ -1,7 +1,6 @@
 #include "tcp/flow.hpp"
 
 #include <algorithm>
-#include <string>
 #include <tuple>
 
 #include "util/units.hpp"
@@ -20,6 +19,32 @@ double timeline_throughput_at(const std::vector<TimelinePoint>& timeline, Durati
     bytes = pt.bytes;
   }
   return throughput_mbps(bytes, t);
+}
+
+std::vector<TimelinePoint> rebase_timeline(const std::vector<TimelinePoint>& src,
+                                           TimePoint start) {
+  std::vector<TimelinePoint> out;
+  out.reserve(src.size());
+  for (const auto& pt : src) out.push_back({TimePoint{(pt.t - start).usec()}, pt.bytes});
+  return out;
+}
+
+void settle_flow(FlowOutcome& out, std::int64_t bytes, Duration timeout,
+                 const WatchdogResult& watch) {
+  out.max_stall = watch.max_stall;
+  const std::int64_t observed = out.timeline.empty() ? 0 : out.timeline.back().bytes;
+  if (observed >= bytes) {
+    out.completed = true;
+    // Completion = when the byte count first reached the target.
+    const auto first = std::ranges::find_if(
+        out.timeline, [bytes](std::int64_t b) { return b >= bytes; }, &TimelinePoint::bytes);
+    out.completion_time = Duration{first->t.usec()};
+    out.throughput_mbps = throughput_mbps(bytes, out.completion_time);
+  } else {
+    out.completion_time = timeout;
+    out.throughput_mbps = throughput_mbps(observed, timeout);
+    out.failure_reason = watch.completed ? "incomplete" : watch.reason;
+  }
 }
 
 FlowResult run_bulk_flow(Simulator& sim, DuplexPath& path, std::int64_t bytes,
@@ -67,72 +92,25 @@ FlowResult run_bulk_flow(Simulator& sim, DuplexPath& path, std::int64_t bytes,
   server.listen();
   client.connect();
 
-  const TimePoint deadline = start + options.timeout;
-  auto finished = [&] {
-    return client.state() == TcpState::kDone && server.state() == TcpState::kDone;
-  };
   // Progress = bytes moving or connection state changing; retransmit
   // counters are deliberately excluded so a blackholed flow trips the
   // watchdog instead of burning the whole timeout.
-  auto signature = [&] {
-    return std::tuple{client.bytes_acked() + client.bytes_delivered(),
-                      server.bytes_acked() + server.bytes_delivered(),
-                      client.state(), server.state()};
-  };
-  // Simulator-event watchdog: bounds the stall even when the next queued
-  // event (an exponentially backed-off RTO) is minutes away.
-  bool stalled = false;
-  Timer watchdog{sim, [&stalled] { stalled = true; }};
-  watchdog.restart(options.stall_limit);
-  auto last_sig = signature();
-  TimePoint last_progress = sim.now();
-  while (!finished()) {
-    if (stalled || sim.now() >= deadline) break;
-    if (!sim.step()) break;
-    const auto sig = signature();
-    if (sig != last_sig) {
-      result.max_stall = std::max(result.max_stall, sim.now() - last_progress);
-      last_sig = sig;
-      last_progress = sim.now();
-      watchdog.restart(options.stall_limit);
-    }
-  }
-  result.max_stall = std::max(result.max_stall, sim.now() - last_progress);
+  const WatchdogResult watch = run_watched(
+      sim, options.timeout, options.stall_limit,
+      [&] { return client.state() == TcpState::kDone && server.state() == TcpState::kDone; },
+      [&] {
+        return std::tuple{client.bytes_acked() + client.bytes_delivered(),
+                          server.bytes_acked() + server.bytes_delivered(), client.state(),
+                          server.state()};
+      });
 
   // The client-observed byte clock: delivered bytes for a download, acked
   // bytes for an upload (what tcpdump at the phone would show).
-  const auto& client_timeline =
-      (dir == Direction::kDownload) ? client.delivered_timeline() : client.acked_timeline();
-  result.timeline.reserve(client_timeline.size());
-  for (const auto& pt : client_timeline) {
-    result.timeline.push_back({TimePoint{(pt.t - start).usec()}, pt.bytes});
-  }
+  result.timeline = rebase_timeline(
+      dir == Direction::kDownload ? client.delivered_timeline() : client.acked_timeline(),
+      start);
   result.retransmits = client.retransmit_count() + server.retransmit_count();
-
-  const std::int64_t observed =
-      result.timeline.empty() ? 0 : result.timeline.back().bytes;
-  if (observed >= bytes) {
-    result.completed = true;
-    // Completion = when the byte count first reached the target.
-    for (const auto& pt : result.timeline) {
-      if (pt.bytes >= bytes) {
-        result.completion_time = Duration{pt.t.usec()};
-        break;
-      }
-    }
-    result.throughput_mbps = throughput_mbps(bytes, result.completion_time);
-  } else {
-    result.completion_time = options.timeout;
-    result.throughput_mbps = throughput_mbps(observed, options.timeout);
-    if (stalled) {
-      result.failure_reason = "stall: no progress for " +
-                              std::to_string(options.stall_limit.usec() / 1000) + " ms";
-    } else if (sim.now() >= deadline) {
-      result.failure_reason = "timeout";
-    } else {
-      result.failure_reason = "idle: event queue drained before completion";
-    }
-  }
+  settle_flow(result, bytes, options.timeout, watch);
 
   // Freeze both ends so an aborted flow stops rescheduling RTO timers,
   // then detach path handlers: packets still in flight after this run
@@ -150,10 +128,7 @@ FlowResult run_bulk_flow(Simulator& sim, DuplexPath& path, std::int64_t bytes,
                          Direction dir, const CcFactory& cc_factory, Duration timeout,
                          std::uint64_t connection_id) {
   BulkFlowOptions options;
-  options.timeout = timeout;
-  // Legacy contract: wall-clock cap only (scripted failure experiments
-  // hold flows stalled deliberately).
-  options.stall_limit = timeout;
+  options.cap_only(timeout);
   options.connection_id = connection_id;
   return run_bulk_flow(sim, path, bytes, dir, cc_factory, options);
 }

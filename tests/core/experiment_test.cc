@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/obs.hpp"
+
 namespace mn {
 namespace {
 
@@ -92,6 +94,66 @@ TEST(SweepFlowSizes, ParallelSweepIsBitIdenticalToSerial) {
           << "workers=" << workers << " size=" << sizes[i];
       EXPECT_EQ(parallel[i].completion_time.millis(), serial[i].completion_time.millis());
     }
+  }
+}
+
+// Failure semantics shared by both transports: which reason a failed flow
+// reports, what its clock reads and when the simulator stops.  Single-path
+// TCP and MPTCP run the same watchdog and the same completion rule.
+struct FailedFlow {
+  TransportFlowResult result;
+  TimePoint stopped_at;
+  std::int64_t run_timeouts = 0;
+};
+
+FailedFlow run_failing_flow(const TransportConfig& config, double mbps, const FaultPlan* faults,
+                            Duration timeout, Duration stall_limit) {
+  obs::ObsHub hub;
+  Simulator sim;
+  sim.set_obs(&hub);
+  const LinkSpec link = mk(mbps, msec(20));
+  TransportRunOptions options;
+  options.timeout = timeout;
+  options.stall_limit = stall_limit;
+  options.faults = faults;
+  FailedFlow out;
+  out.result = run_transport_flow(sim, symmetric_setup(link, link), config, 4'000'000,
+                                  Direction::kDownload, options);
+  out.stopped_at = sim.now();
+  out.run_timeouts = hub.metrics().value(hub.ids().mptcp_run_timeouts);
+  return out;
+}
+
+const TransportConfig kFailureConfigs[] = {
+    TransportConfig::single_path(PathId::kWifi),
+    TransportConfig::mptcp(PathId::kWifi, CcAlgo::kCoupled),
+};
+
+TEST(RunTransportFlow, StallFailsAtTheStallLimitForBothTransports) {
+  FaultPlan plan;
+  plan.blackhole(msec(500), PathId::kWifi).blackhole(msec(500), PathId::kLte);
+  for (const TransportConfig& config : kFailureConfigs) {
+    SCOPED_TRACE(config.kind == TransportKind::kMptcp ? "mptcp" : "tcp");
+    const FailedFlow f = run_failing_flow(config, 10, &plan, sec(60), sec(5));
+    EXPECT_FALSE(f.result.completed);
+    EXPECT_EQ(f.result.failure_reason, "stall: no progress for 5000 ms");
+    EXPECT_EQ(f.result.completion_time.usec(), sec(60).usec());
+    EXPECT_EQ(f.result.max_stall.usec(), sec(5).usec());
+    EXPECT_EQ(f.stopped_at.usec(), 5'582'610);
+    EXPECT_EQ(f.run_timeouts, 0);
+  }
+}
+
+TEST(RunTransportFlow, TimeoutFailsAtTheTimeoutForBothTransports) {
+  for (const TransportConfig& config : kFailureConfigs) {
+    const bool mptcp = config.kind == TransportKind::kMptcp;
+    SCOPED_TRACE(mptcp ? "mptcp" : "tcp");
+    const FailedFlow f = run_failing_flow(config, 0.5, nullptr, sec(5), sec(30));
+    EXPECT_FALSE(f.result.completed);
+    EXPECT_EQ(f.result.failure_reason, "timeout");
+    EXPECT_EQ(f.result.completion_time.usec(), sec(5).usec());
+    // Only the MPTCP testbed counts its timed-out runs.
+    EXPECT_EQ(f.run_timeouts, mptcp ? 1 : 0);
   }
 }
 

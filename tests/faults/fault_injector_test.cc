@@ -319,7 +319,7 @@ TEST(RunTransportFlow, ReportsStallAndReasonUnderUnrestoredBlackhole) {
                                     Direction::kDownload, options);
   EXPECT_FALSE(r.completed);
   EXPECT_NE(r.failure_reason.find("stall"), std::string::npos) << r.failure_reason;
-  EXPECT_LE(r.stall_time.usec(), sec(5).usec());
+  EXPECT_LE(r.max_stall.usec(), sec(5).usec());
   sim.run_until_idle();
   EXPECT_EQ(sim.pending_events(), 0u);
 }

@@ -306,6 +306,7 @@ TEST(PacketRing, FifoAcrossWrapAndGrowth) {
 
 TEST(DelayBox, BatchHandlerReceivesWholeTickSweepAsOneSpan) {
   Simulator sim;
+  sim.set_batch_dispatch(true);  // spans wider than 1 exist only in batch mode
   DelayBox box{sim, msec(5)};
   std::vector<std::vector<std::int64_t>> sweeps;
   box.set_next_batch([&](std::span<Packet> ps) {
@@ -327,6 +328,7 @@ TEST(DelayBox, BatchHandlerReceivesWholeTickSweepAsOneSpan) {
 
 TEST(DelayBox, BatchHandlerSplitsSweepsPerTick) {
   Simulator sim;
+  sim.set_batch_dispatch(true);  // spans wider than 1 exist only in batch mode
   DelayBox box{sim, msec(1)};
   std::vector<std::size_t> widths;
   box.set_next_batch([&](std::span<Packet> ps) { widths.push_back(ps.size()); });

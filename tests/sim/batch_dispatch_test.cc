@@ -41,6 +41,7 @@ struct SpanLog {
 
 TEST(BatchDispatch, SameTickSameSinkItemsArriveAsOneSpan) {
   Simulator sim;
+  sim.set_batch_dispatch(true);  // spans wider than 1 exist only in batch mode
   SpanLog log;
   const SinkId sink = log.attach(sim);
   for (std::uint64_t i = 0; i < 5; ++i) sim.schedule_item_at(TimePoint{100}, sink, i);
@@ -53,6 +54,7 @@ TEST(BatchDispatch, SameTickSameSinkItemsArriveAsOneSpan) {
 
 TEST(BatchDispatch, GroupsSplitAtSinkBoundaries) {
   Simulator sim;
+  sim.set_batch_dispatch(true);  // spans wider than 1 exist only in batch mode
   SpanLog a, b;
   const SinkId sa = a.attach(sim);
   const SinkId sb = b.attach(sim);
@@ -99,16 +101,22 @@ TEST(BatchDispatch, ScalarFallbackDegradesEveryGroupToWidthOne) {
 }
 
 TEST(BatchDispatch, EnvVarForcesScalarDispatchAtConstruction) {
+  // Restore the caller's setting: later tests in this process must run
+  // under the mode the suite was started in.
+  const char* caller = std::getenv("MN_SCALAR_DISPATCH");
+  const std::string saved = caller ? caller : "";
   ::setenv("MN_SCALAR_DISPATCH", "1", 1);
   Simulator scalar;
   ::unsetenv("MN_SCALAR_DISPATCH");
   Simulator batched;
+  if (caller) ::setenv("MN_SCALAR_DISPATCH", saved.c_str(), 1);
   EXPECT_FALSE(scalar.batch_dispatch());
   EXPECT_TRUE(batched.batch_dispatch());
 }
 
 TEST(BatchDispatch, CancellingOwnSpanItemsIsANoop) {
   Simulator sim;
+  sim.set_batch_dispatch(true);  // spans wider than 1 exist only in batch mode
   std::vector<EventId> ids;
   std::size_t deliveries = 0;
   SinkId sink = 0;
@@ -151,6 +159,7 @@ TEST(BatchDispatch, CancellingOtherSinksSameTickWorkSuppressesIt) {
 
 TEST(BatchDispatch, RescheduleFromInsideSpanLandsSameTickAfterGroup) {
   Simulator sim;
+  sim.set_batch_dispatch(true);  // spans wider than 1 exist only in batch mode
   SpanLog log;
   SinkId sink = 0;
   bool rearmed = false;
@@ -174,6 +183,7 @@ TEST(BatchDispatch, RescheduleFromInsideSpanLandsSameTickAfterGroup) {
 
 TEST(BatchDispatch, MidSpanAuditSeesDeliveredItemsAsFired) {
   Simulator sim;
+  sim.set_batch_dispatch(true);  // spans wider than 1 exist only in batch mode
   SinkId sink = 0;
   std::size_t checked = 0;
   sink = sim.register_sink([&](SinkSpan s) {
@@ -193,6 +203,7 @@ TEST(BatchDispatch, MidSpanAuditSeesDeliveredItemsAsFired) {
 
 TEST(BatchDispatch, StepGranularityIsOneGroup) {
   Simulator sim;
+  sim.set_batch_dispatch(true);  // spans wider than 1 exist only in batch mode
   SpanLog log;
   const SinkId sink = log.attach(sim);
   for (std::uint64_t i = 0; i < 3; ++i) sim.schedule_item_at(TimePoint{2}, sink, i);
