@@ -4,6 +4,7 @@
 // corruption degrades to a clean cache miss.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -15,6 +16,7 @@
 #include "faults/chaos.hpp"
 #include "measure/campaign.hpp"
 #include "measure/locations20.hpp"
+#include "store/key.hpp"
 #include "store/run_store.hpp"
 
 namespace mn {
@@ -356,6 +358,87 @@ TEST_F(CampaignCacheTest, ChaosReportBlobRoundTripsWithFlightDump) {
   EXPECT_EQ(back.max_stall, report.max_stall);
   EXPECT_EQ(back.violations, report.violations);
   EXPECT_EQ(back.flight_dump, report.flight_dump);
+}
+
+// The round-trip tests above write and read through the same code, so
+// a field moved in both the writer and the reader would still pass.
+// These pins fix the campaign's persisted bytes absolutely: the CSV of a
+// campaign whose energy and scheduler columns are filled, one serialized
+// MPTCP-probed record, and the store keys of a middlebox, a faulted and
+// an incomplete run.
+
+CampaignOptions pinned_campaign() {
+  CampaignOptions opt;
+  opt.run_scale = 0.05;
+  opt.fault_probability = 0.2;
+  opt.middlebox_strip_probability = 0.3;
+  return opt;
+}
+
+std::string hex_bytes(std::string_view bytes) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  std::string out;
+  for (const char c : bytes) {
+    const auto b = static_cast<unsigned char>(c);
+    out += kHex[b >> 4];
+    out += kHex[b & 0xf];
+  }
+  return out;
+}
+
+TEST(CampaignBytes, Table1CsvIsPinned) {
+  const std::string csv = to_csv(run_campaign(table1_world(), pinned_campaign())).str();
+  ASSERT_NE(csv.find("LowestRTT"), std::string::npos) << "scheduler column filled";
+  EXPECT_EQ(store::KeyBuilder("campaign-csv-pin", 1).str(csv).finish().hex(),
+            "e9fb5ee6b2e4bdc01ec232daeaeba11f");
+}
+
+TEST(CampaignBytes, RunRecordBlobIsPinned) {
+  RunRecord rec;
+  rec.cluster = "Pinned";
+  rec.pos = {42.25, -71.5};
+  rec.wifi_measured = true;
+  rec.lte_measured = false;
+  rec.wifi_up_mbps = 1.5;
+  rec.wifi_down_mbps = 2.5;
+  rec.lte_up_mbps = 3.5;
+  rec.lte_down_mbps = 4.5;
+  rec.wifi_rtt_ms = 20.25;
+  rec.lte_rtt_ms = 40.75;
+  rec.mp_probed = true;
+  rec.negotiated_mp = true;
+  rec.achieved_mp = false;
+  rec.fallback_reason = "join_rejected";
+  rec.energy_wifi_j = 0.125;
+  rec.energy_lte_j = 16.5;
+  rec.scheduler = "Redundant";
+  obs::SnapshotEntry retransmits;
+  retransmits.name = "tcp.retransmits";
+  retransmits.value = 3;
+  rec.metrics.entries = {retransmits};
+  EXPECT_EQ(hex_bytes(serialize_run_record(rec)),
+            "030600000050696e6e656400000000002045400000000000e051c00100000000"
+            "000000f83f00000000000004400000000000000c400000000000001240000000"
+            "0000403440000000000060444000000000000101000d0000006a6f696e5f7265"
+            "6a6563746564000000000000c03f000000000080304009000000526564756e64"
+            "616e74010000000f0000007463702e72657472616e736d697473000300000000"
+            "0000000000000000000000000000000000000000000000");
+}
+
+TEST(CampaignBytes, ScenarioKeysArePinned) {
+  const CampaignOptions opt = pinned_campaign();
+  const std::vector<RunPlan> plans = plan_campaign(table1_world(), opt);
+  const auto first = [&](auto pred) {
+    const auto it = std::find_if(plans.begin(), plans.end(), pred);
+    EXPECT_NE(it, plans.end());
+    return scenario_key(*it, opt).hex();
+  };
+  EXPECT_EQ(first([](const RunPlan& p) { return p.has_middlebox; }),
+            "b3701df6d5cce546912ef4ac6058ab02");
+  EXPECT_EQ(first([](const RunPlan& p) { return p.has_faults; }),
+            "638bd6a86b334344477baf6b3547403a");
+  EXPECT_EQ(first([](const RunPlan& p) { return p.skip_wifi || p.skip_lte; }),
+            "49409e44dcc8e7202e469312d2438bb6");
 }
 
 }  // namespace

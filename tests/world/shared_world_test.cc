@@ -8,8 +8,10 @@
 
 #include <cstdlib>
 #include <numeric>
+#include <sstream>
 
 #include "measure/world.hpp"
+#include "store/key.hpp"
 #include "util/inplace_function.hpp"
 
 namespace mn::world {
@@ -147,6 +149,17 @@ TEST(SharedWorld, ObsRegistersPerCellSeriesWhenAsked) {
       EXPECT_GT(snap.value_of(base + ".grants"), 0) << base;
     }
   }
+}
+
+// The digest tests above compare two runs of the same code; this pins
+// the bytes themselves, so a sketch or column moved between paths shows.
+TEST(SharedWorld, DigestAndTable1BytesArePinned) {
+  const auto r = run_world(table1_world(), kUsers, small_opts());
+  std::ostringstream table;
+  r.stats.table1().print(table);
+  const store::ScenarioKey pin =
+      store::KeyBuilder("world-digest-pin", 1).str(r.stats.digest()).str(table.str()).finish();
+  EXPECT_EQ(pin.hex(), "07fc717672322f1088dead521faf948b");
 }
 
 }  // namespace
