@@ -52,7 +52,7 @@ PolicyPoint sweep_policy(MpScheduler scheduler, std::int64_t bytes,
       continue;
     }
     time_s.add(r.completion_time.seconds());
-    energy_j.add(r.energy_wifi_j + r.energy_lte_j);
+    energy_j.add(r.energy_j[PathId::kWifi] + r.energy_j[PathId::kLte]);
   }
   p.median_time_s = time_s.empty() ? 0.0 : time_s.median();
   p.median_energy_j = energy_j.empty() ? 0.0 : energy_j.median();

@@ -32,8 +32,7 @@ CaseResult run_case(PathId active_path, PathId measured_path, double horizon_s) 
     std::cerr << "WARNING: fig16 flow timed out; power trace covers a truncated flow\n";
   }
 
-  EnergyMeter meter{measured_path == PathId::kLte ? lte_power_params()
-                                                  : wifi_power_params()};
+  EnergyMeter meter{power_params(measured_path)};
   for (const auto& e : bed.events(measured_path)) meter.add_activity(e.t);
   CaseResult r;
   const TimePoint horizon = TimePoint{secs_f(horizon_s).usec()};

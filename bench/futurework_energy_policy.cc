@@ -33,9 +33,8 @@ Outcome run_measured(const MpNetworkSetup& net, const TransportConfig& cfg,
     // packet events at the client (the tap) — synthetic uniform-20 ms
     // activity used to stand in here, which flattened every burst and
     // biased the policy comparison against bursty real traffic.
-    DuplexPath path{sim, net[cfg.path].up, net[cfg.path].down};
-    EnergyMeter meter{cfg.path == PathId::kWifi ? wifi_power_params()
-                                                : lte_power_params()};
+    DuplexPath path{sim, net.paths[cfg.path].up, net.paths[cfg.path].down};
+    EnergyMeter meter{power_params(cfg.path)};
     BulkFlowOptions flow_options;
     flow_options.timeout = sec(120);
     flow_options.stall_limit = sec(120);
@@ -60,7 +59,7 @@ Outcome run_measured(const MpNetworkSetup& net, const TransportConfig& cfg,
       run_mptcp_flow(sim, net, cfg.mp, bytes, Direction::kDownload, flow_options);
   out.completed = r.completed;
   out.seconds = r.completed ? r.completion_time.seconds() : flow_options.timeout.seconds();
-  out.joules = r.energy_wifi_j + r.energy_lte_j;
+  out.joules = r.energy_j[PathId::kWifi] + r.energy_j[PathId::kLte];
   return out;
 }
 
@@ -86,10 +85,10 @@ int main() {
     const auto& loc = table2_locations()[i];
     const auto net = location_setup(loc, /*seed=*/9);
     LinkEstimate est;
-    est.wifi_down_mbps = loc.wifi_mbps;
-    est.lte_down_mbps = loc.lte_mbps;
-    est.wifi_rtt = 2 * loc.wifi_one_way;
-    est.lte_rtt = 2 * loc.lte_one_way;
+    est.down_mbps[PathId::kWifi] = loc.wifi_mbps;
+    est.down_mbps[PathId::kLte] = loc.lte_mbps;
+    est.rtt[PathId::kWifi] = 2 * loc.wifi_one_way;
+    est.rtt[PathId::kLte] = 2 * loc.lte_one_way;
 
     const std::map<std::string, TransportConfig> policies{
         {"Always-WiFi (Android)", always_wifi_policy()},

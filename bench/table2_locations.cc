@@ -22,13 +22,13 @@ int main() {
     {
       Simulator sim;
       const auto setup = location_setup(loc, /*seed=*/1);
-      DuplexPath wifi{sim, setup[PathId::kWifi].up, setup[PathId::kWifi].down};
+      DuplexPath wifi{sim, setup.paths[PathId::kWifi].up, setup.paths[PathId::kWifi].down};
       wifi_tput = run_bulk_flow(sim, wifi, 1'000'000, Direction::kDownload).throughput_mbps;
     }
     {
       Simulator sim;
       const auto setup = location_setup(loc, /*seed=*/1);
-      DuplexPath lte{sim, setup[PathId::kLte].up, setup[PathId::kLte].down};
+      DuplexPath lte{sim, setup.paths[PathId::kLte].up, setup.paths[PathId::kLte].down};
       lte_tput = run_bulk_flow(sim, lte, 1'000'000, Direction::kDownload).throughput_mbps;
     }
     t.add_row({std::to_string(loc.id), loc.city, loc.description,

@@ -17,25 +17,25 @@ LinkEstimate measure_links(const MpNetworkSetup& net) {
   LinkEstimate est;
   {
     Simulator sim;
-    DuplexPath wifi{sim, net[PathId::kWifi].up, net[PathId::kWifi].down};
-    est.wifi_down_mbps =
+    DuplexPath wifi{sim, net.paths[PathId::kWifi].up, net.paths[PathId::kWifi].down};
+    est.down_mbps[PathId::kWifi] =
         run_bulk_flow(sim, wifi, 250'000, Direction::kDownload).throughput_mbps;
   }
   {
     Simulator sim;
-    DuplexPath wifi{sim, net[PathId::kWifi].up, net[PathId::kWifi].down};
-    est.wifi_rtt = measure_ping_rtt(sim, wifi);
+    DuplexPath wifi{sim, net.paths[PathId::kWifi].up, net.paths[PathId::kWifi].down};
+    est.rtt[PathId::kWifi] = measure_ping_rtt(sim, wifi);
   }
   {
     Simulator sim;
-    DuplexPath lte{sim, net[PathId::kLte].up, net[PathId::kLte].down};
-    est.lte_down_mbps =
+    DuplexPath lte{sim, net.paths[PathId::kLte].up, net.paths[PathId::kLte].down};
+    est.down_mbps[PathId::kLte] =
         run_bulk_flow(sim, lte, 250'000, Direction::kDownload).throughput_mbps;
   }
   {
     Simulator sim;
-    DuplexPath lte{sim, net[PathId::kLte].up, net[PathId::kLte].down};
-    est.lte_rtt = measure_ping_rtt(sim, lte);
+    DuplexPath lte{sim, net.paths[PathId::kLte].up, net.paths[PathId::kLte].down};
+    est.rtt[PathId::kLte] = measure_ping_rtt(sim, lte);
   }
   return est;
 }
@@ -53,9 +53,9 @@ void demo(const char* name, double wifi_mbps, double lte_mbps) {
 
   const LinkEstimate est = measure_links(net);
   std::cout << "\n== " << name << " ==\n"
-            << "  measured: WiFi " << est.wifi_down_mbps << " Mbit/s / "
-            << est.wifi_rtt.millis() << " ms, LTE " << est.lte_down_mbps << " Mbit/s / "
-            << est.lte_rtt.millis() << " ms\n";
+            << "  measured: WiFi " << est.down_mbps[PathId::kWifi] << " Mbit/s / "
+            << est.rtt[PathId::kWifi].millis() << " ms, LTE " << est.down_mbps[PathId::kLte]
+            << " Mbit/s / " << est.rtt[PathId::kLte].millis() << " ms\n";
 
   for (std::int64_t bytes : {std::int64_t{10'000}, std::int64_t{2'000'000}}) {
     const TransportConfig pick = adaptive_policy(est, bytes);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
 
 namespace mn {
 namespace {
@@ -12,10 +13,12 @@ namespace {
 /// late and both paths contribute afterwards).
 double predict_completion_s(const LinkEstimate& est, const TransportConfig& config,
                             std::int64_t flow_bytes) {
-  const double wifi = std::max(est.wifi_down_mbps, 0.05);
-  const double lte = std::max(est.lte_down_mbps, 0.05);
-  const double wifi_rtt = std::max(est.wifi_rtt.seconds(), 0.005);
-  const double lte_rtt = std::max(est.lte_rtt.seconds(), 0.005);
+  PerPath<double> rate;
+  PerPath<double> rtt;
+  for (const PathId p : kPaths) {
+    rate[p] = std::max(est.down_mbps[p], 0.05);
+    rtt[p] = std::max(est.rtt[p].seconds(), 0.005);
+  }
   const double bits = static_cast<double>(flow_bytes) * 8.0;
 
   auto single = [bits](double mbps, double rtt) {
@@ -23,17 +26,17 @@ double predict_completion_s(const LinkEstimate& est, const TransportConfig& conf
     return 3.0 * rtt + bits / (mbps * 1e6);
   };
   if (config.kind == TransportKind::kSinglePath) {
-    return config.path == PathId::kWifi ? single(wifi, wifi_rtt) : single(lte, lte_rtt);
+    return single(rate[config.path], rtt[config.path]);
   }
-  const bool wifi_primary = config.mp.primary == PathId::kWifi;
-  const double primary_rate = wifi_primary ? wifi : lte;
-  const double primary_rtt = wifi_primary ? wifi_rtt : lte_rtt;
+  const double primary_rate = rate[config.mp.primary];
+  const double primary_rtt = rtt[config.mp.primary];
   const double join_s = config.mp.join_delay.seconds() + 2.0 * primary_rtt;
   // Bytes moved before the join on the primary alone:
   const double pre_join_bits = std::min(bits, primary_rate * 1e6 * join_s);
   const double rest = bits - pre_join_bits;
   // Coupled CC is a bit less aggressive in aggregate (RFC 6356 fairness).
-  const double agg = (wifi + lte) * (config.mp.cc == CcAlgo::kCoupled ? 0.85 : 0.95);
+  const double agg = std::accumulate(rate.begin(), rate.end(), 0.0) *
+                     (config.mp.cc == CcAlgo::kCoupled ? 0.85 : 0.95);
   return 3.0 * primary_rtt + join_s + rest / (agg * 1e6);
 }
 
@@ -52,16 +55,13 @@ EnergyCostEstimate estimate_energy_cost(const LinkEstimate& est,
                                         const EnergyPolicyConfig& policy) {
   EnergyCostEstimate out;
   out.completion_s = predict_completion_s(est, config, flow_bytes);
-  const auto lte = lte_power_params();
-  const auto wifi = wifi_power_params();
   if (config.kind == TransportKind::kSinglePath) {
-    out.radio_joules = config.path == PathId::kWifi
-                           ? radio_joules(wifi, out.completion_s)
-                           : radio_joules(lte, out.completion_s);
+    out.radio_joules = radio_joules(power_params(config.path), out.completion_s);
   } else {
     // MPTCP keeps both radios active for the transfer; both pay tails.
-    out.radio_joules =
-        radio_joules(wifi, out.completion_s) + radio_joules(lte, out.completion_s);
+    for (const PathId p : kPaths) {
+      out.radio_joules += radio_joules(power_params(p), out.completion_s);
+    }
   }
   out.total_cost = out.radio_joules + policy.joules_per_second * out.completion_s;
   return out;

@@ -60,7 +60,7 @@ TransportFlowResult run_transport_flow(Simulator& sim, const MpNetworkSetup& net
                                        Direction dir, const TransportRunOptions& options) {
   TransportFlowResult out;
   if (config.kind == TransportKind::kSinglePath) {
-    DuplexPath path{sim, net[config.path].up, net[config.path].down};
+    DuplexPath path{sim, net.paths[config.path].up, net.paths[config.path].down};
     FaultInjector injector{sim};
     if (options.faults) {
       // Plan events addressed to the other network are skipped by the
@@ -105,10 +105,10 @@ store::ScenarioKey sweep_scenario_key(const MpNetworkSetup& net,
                                       Direction dir) {
   store::KeyBuilder key{"sweep-point"};
   for (const PathId p : kPaths) {
-    key_link(key, net[p].up);
-    key_link(key, net[p].down);
+    key_link(key, net.paths[p].up);
+    key_link(key, net.paths[p].down);
   }
-  for (const PathId p : kPaths) key.boolean(net[p].reports_carrier_loss);
+  for (const PathId p : kPaths) key.boolean(net.paths[p].reports_carrier_loss);
   key_transport(key, config);
   key.i64(bytes).u8(static_cast<std::uint8_t>(dir));
   return key.finish();

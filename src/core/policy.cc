@@ -12,6 +12,12 @@ double at(const ConfigTimes& times, const std::string& key) {
   return it->second;
 }
 
+/// The network with the higher measured downlink (WiFi on a tie).
+PathId best_path(const LinkEstimate& est) {
+  return est.down_mbps[PathId::kWifi] >= est.down_mbps[PathId::kLte] ? PathId::kWifi
+                                                                     : PathId::kLte;
+}
+
 }  // namespace
 
 TransportConfig always_wifi_policy() {
@@ -19,20 +25,17 @@ TransportConfig always_wifi_policy() {
 }
 
 TransportConfig best_single_path_policy(const LinkEstimate& est) {
-  return TransportConfig::single_path(
-      est.wifi_down_mbps >= est.lte_down_mbps ? PathId::kWifi : PathId::kLte);
+  return TransportConfig::single_path(best_path(est));
 }
 
 TransportConfig adaptive_policy(const LinkEstimate& est, std::int64_t flow_bytes,
                                 std::int64_t short_flow_threshold,
                                 double comparable_ratio) {
-  const PathId best = est.wifi_down_mbps >= est.lte_down_mbps ? PathId::kWifi
-                                                              : PathId::kLte;
+  const PathId best = best_path(est);
   if (flow_bytes < short_flow_threshold) {
     return TransportConfig::single_path(best);
   }
-  const double hi = std::max(est.wifi_down_mbps, est.lte_down_mbps);
-  const double lo = std::min(est.wifi_down_mbps, est.lte_down_mbps);
+  const auto [lo, hi] = std::ranges::minmax(est.down_mbps);
   if (lo <= 0.0 || hi / lo > comparable_ratio) {
     // Figure 7a regime: a large disparity makes MPTCP a loser at any
     // size; the slow link's subflow drags data-level delivery.

@@ -20,10 +20,8 @@ namespace mn {
 
 /// What a policy knows when choosing (recent app-level measurements).
 struct LinkEstimate {
-  double wifi_down_mbps = 0.0;
-  double lte_down_mbps = 0.0;
-  Duration wifi_rtt{0};
-  Duration lte_rtt{0};
+  PerPath<double> down_mbps;
+  PerPath<Duration> rtt;
 };
 
 /// Android default circa the paper: WiFi whenever associated.

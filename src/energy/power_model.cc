@@ -23,6 +23,10 @@ RadioPowerParams wifi_power_params() {
   return p;
 }
 
+RadioPowerParams power_params(PathId p) {
+  return p == PathId::kWifi ? wifi_power_params() : lte_power_params();
+}
+
 void EnergyMeter::insert_out_of_order(TimePoint t) {
   // Rare path (timestamps from merged sources); mirrors the
   // EmpiricalDistribution eager-sorted invariant.

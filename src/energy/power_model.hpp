@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "mptcp/mptcp.hpp"
 #include "util/time.hpp"
 
 namespace mn {
@@ -31,6 +32,8 @@ struct RadioPowerParams {
 /// Figure-16 defaults, in watts above the phone's 1 W base.
 [[nodiscard]] RadioPowerParams lte_power_params();
 [[nodiscard]] RadioPowerParams wifi_power_params();
+/// The Figure-16 defaults of network `p`'s radio.
+[[nodiscard]] RadioPowerParams power_params(PathId p);
 
 constexpr double kBasePowerWatts = 1.0;  // screen + CPU (paper's baseline)
 

@@ -54,8 +54,8 @@ LinkSpec random_link(Rng& rng, bool lte) {
 MpNetworkSetup random_setup(Rng& rng) {
   MpNetworkSetup setup;
   for (const PathId p : kPaths) {
-    setup[p].up = random_link(rng, /*lte=*/p == PathId::kLte);
-    setup[p].down = random_link(rng, /*lte=*/p == PathId::kLte);
+    setup.paths[p].up = random_link(rng, /*lte=*/p == PathId::kLte);
+    setup.paths[p].down = random_link(rng, /*lte=*/p == PathId::kLte);
   }
   return setup;
 }

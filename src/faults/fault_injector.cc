@@ -5,7 +5,7 @@
 namespace mn {
 
 void FaultInjector::set_target(PathId path, DuplexPath* duplex, NetworkInterface* iface) {
-  Target& t = targets_[static_cast<std::size_t>(path)];
+  Target& t = targets_[path];
   t.duplex = duplex;
   t.iface = iface;
 }
@@ -42,7 +42,7 @@ void FaultInjector::for_each_pipe(const Target& t, LinkDir dir,
 }
 
 void FaultInjector::apply(const FaultEvent& ev) {
-  Target& t = targets_[static_cast<std::size_t>(ev.path)];
+  Target& t = targets_[ev.path];
   const bool needs_iface = ev.kind == FaultKind::kSoftDown ||
                            ev.kind == FaultKind::kSoftUp ||
                            ev.kind == FaultKind::kUnplug || ev.kind == FaultKind::kReplug;

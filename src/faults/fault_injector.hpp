@@ -57,7 +57,7 @@ class FaultInjector {
   void for_each_pipe(const Target& t, LinkDir dir, const std::function<void(OneWayPipe&)>& fn);
 
   Simulator& sim_;
-  Target targets_[2];
+  PerPath<Target> targets_;
   std::vector<EventId> pending_;
   std::vector<FaultEvent> armed_events_;  // owned copies the callbacks index into
   int applied_ = 0;

@@ -25,13 +25,15 @@ struct ProbeResult {
   std::string failure;  // non-empty when a transfer stalled or timed out
 };
 
-LinkSpec make_link(double mbps, Duration delay, bool lte, Rng& rng) {
+/// One link draw of network `path` at the plan's rate and delay.
+LinkSpec make_link(const RunPlan& plan, PathId path, Rng& rng) {
+  const double mbps = plan.rate_mbps[path];
   LinkSpec s;
-  s.one_way_delay = delay;
+  s.one_way_delay = plan.delay[path];
   // WiFi: Poisson contention; LTE: bursty two-state scheduler, deeper
   // (bufferbloated) queues — both trace-driven, Mahimahi style.
   const Duration period = sec(2);
-  if (lte) {
+  if (path == PathId::kLte) {
     TwoStateSpec ts;
     ts.good_mbps = mbps * 1.4;
     ts.bad_mbps = std::max(0.3, mbps * 0.4);
@@ -45,20 +47,18 @@ LinkSpec make_link(double mbps, Duration delay, bool lte, Rng& rng) {
   return s;
 }
 
-ProbeResult probe_network(double rate_mbps, Duration one_way, bool lte, Rng& rng,
-                          const CampaignOptions& opt, const FaultPlan* faults,
-                          obs::ObsHub* hub) {
+ProbeResult probe_network(const RunPlan& plan, PathId p, Rng& rng, const CampaignOptions& opt,
+                          const FaultPlan* faults, obs::ObsHub* hub) {
   // Each probe gets a fresh simulator and a fresh path (two link draws,
-  // uplink first), with `plan` armed against it when given.
-  const auto on_fresh_path = [&](const FaultPlan* plan, const auto& probe) {
+  // uplink first), with the fault plan `armed` injected when given.
+  const auto on_fresh_path = [&](const FaultPlan* armed, const auto& probe) {
     Simulator sim;
     sim.set_obs(hub);
-    DuplexPath path{sim, make_link(rate_mbps, one_way, lte, rng),
-                    make_link(rate_mbps, one_way, lte, rng)};
+    DuplexPath path{sim, make_link(plan, p, rng), make_link(plan, p, rng)};
     FaultInjector injector{sim};
-    if (plan) {
-      injector.set_target(lte ? PathId::kLte : PathId::kWifi, &path);
-      injector.arm(*plan);
+    if (armed) {
+      injector.set_target(p, &path);
+      injector.arm(*armed);
     }
     return probe(sim, path);
   };
@@ -98,10 +98,10 @@ void probe_multipath(const RunPlan& plan, const CampaignOptions& opt, Rng& rng,
   Simulator sim;
   sim.set_obs(hub);
   MpNetworkSetup setup;
-  setup[PathId::kWifi].up = make_link(plan.wifi_rate_mbps, plan.wifi_delay, /*lte=*/false, rng);
-  setup[PathId::kWifi].down = make_link(plan.wifi_rate_mbps, plan.wifi_delay, /*lte=*/false, rng);
-  setup[PathId::kLte].up = make_link(plan.lte_rate_mbps, plan.lte_delay, /*lte=*/true, rng);
-  setup[PathId::kLte].down = make_link(plan.lte_rate_mbps, plan.lte_delay, /*lte=*/true, rng);
+  for (const PathId p : kPaths) {
+    setup.paths[p].up = make_link(plan, p, rng);
+    setup.paths[p].down = make_link(plan, p, rng);
+  }
   FlowRunOptions flow_options;
   flow_options.timeout = sec(60);
   // A degraded flow still finishes on the surviving path; only a real
@@ -125,8 +125,7 @@ void probe_multipath(const RunPlan& plan, const CampaignOptions& opt, Rng& rng,
   rec.negotiated_mp = r.negotiated_mp;
   rec.achieved_mp = r.achieved_mp;
   rec.fallback_reason = r.fallback_reason;
-  rec.energy_wifi_j = r.energy_wifi_j;
-  rec.energy_lte_j = r.energy_lte_j;
+  rec.energy_j = r.energy_j;
   rec.scheduler = to_string(r.scheduler);
   if (!r.completed && !rec.failed) {
     rec.failed = true;
@@ -154,8 +153,8 @@ std::vector<RunPlan> plan_campaign(const std::vector<ClusterSpec>& world,
 
       // Figure-2 flowchart: some runs can't measure one of the networks.
       const bool skip_one = crng.chance(options.incomplete_probability);
-      plan.skip_wifi = skip_one && crng.chance(0.5);
-      plan.skip_lte = skip_one && !plan.skip_wifi;
+      plan.skip[PathId::kWifi] = skip_one && crng.chance(0.5);
+      plan.skip[PathId::kLte] = skip_one && !plan.skip[PathId::kWifi];
 
       // Chaos-in-the-campaign: some runs execute under a random fault
       // plan.  All draws are gated on the knob so the seeded campaign
@@ -175,20 +174,17 @@ std::vector<RunPlan> plan_campaign(const std::vector<ClusterSpec>& world,
       // MPTCP middlebox probe (the negotiated-vs-achieved sweep): only
       // runs that measure both networks can multipath, and all draws are
       // gated on the knob so the legacy stream is untouched at 0.0.
-      if (options.middlebox_strip_probability > 0.0 && !plan.skip_wifi &&
-          !plan.skip_lte) {
+      if (options.middlebox_strip_probability > 0.0 &&
+          std::ranges::none_of(plan.skip, std::identity{})) {
         plan.has_middlebox = true;
         plan.middlebox_strip = options.middlebox_strip_probability;
         plan.middlebox_seed = crng.fork("middlebox").next_u64();
       }
 
-      if (!plan.skip_wifi) {
-        plan.wifi_rate_mbps = cluster.wifi_rate.sample(crng);
-        plan.wifi_delay = cluster.wifi_delay.sample(crng);
-      }
-      if (!plan.skip_lte) {
-        plan.lte_rate_mbps = cluster.lte_rate.sample(crng);
-        plan.lte_delay = cluster.lte_delay.sample(crng);
+      for (const PathId p : kPaths) {
+        if (plan.skip[p]) continue;
+        plan.rate_mbps[p] = cluster.rate[p].sample(crng);
+        plan.delay[p] = cluster.delay[p].sample(crng);
       }
       // The execute phase draws only link-trace noise, from a stream
       // forked per run — run i's draw count can never shift run i+1.
@@ -215,28 +211,16 @@ RunRecord execute_run(const RunPlan& plan, const CampaignOptions& options) {
   // Per-run isolation: a throwing or stalling run becomes a failed
   // record; the campaign itself never aborts.
   try {
-    if (!plan.skip_wifi) {
-      const auto p = probe_network(plan.wifi_rate_mbps, plan.wifi_delay, /*lte=*/false,
-                                   rng, options, faults, &hub);
-      rec.wifi_measured = true;
-      rec.wifi_up_mbps = p.up_mbps;
-      rec.wifi_down_mbps = p.down_mbps;
-      rec.wifi_rtt_ms = p.rtt_ms;
-      if (!p.failure.empty() && !rec.failed) {
+    for (const PathId p : kPaths) {
+      if (plan.skip[p]) continue;
+      const ProbeResult probe = probe_network(plan, p, rng, options, faults, &hub);
+      rec.measured[p] = true;
+      rec.up_mbps[p] = probe.up_mbps;
+      rec.down_mbps[p] = probe.down_mbps;
+      rec.rtt_ms[p] = probe.rtt_ms;
+      if (!probe.failure.empty() && !rec.failed) {
         rec.failed = true;
-        rec.failure_reason = "wifi " + p.failure;
-      }
-    }
-    if (!plan.skip_lte) {
-      const auto p = probe_network(plan.lte_rate_mbps, plan.lte_delay, /*lte=*/true,
-                                   rng, options, faults, &hub);
-      rec.lte_measured = true;
-      rec.lte_up_mbps = p.up_mbps;
-      rec.lte_down_mbps = p.down_mbps;
-      rec.lte_rtt_ms = p.rtt_ms;
-      if (!p.failure.empty() && !rec.failed) {
-        rec.failed = true;
-        rec.failure_reason = "lte " + p.failure;
+        rec.failure_reason = std::string{path_name(p)} + " " + probe.failure;
       }
     }
     if (plan.has_middlebox) probe_multipath(plan, options, rng, &hub, rec);
@@ -252,15 +236,10 @@ store::ScenarioKey scenario_key(const RunPlan& plan, const CampaignOptions& opti
   store::KeyBuilder key{"campaign-run"};
   key.str(plan.cluster)
       .f64(plan.pos.lat_deg)
-      .f64(plan.pos.lon_deg)
-      .boolean(plan.skip_wifi)
-      .boolean(plan.skip_lte)
-      .f64(plan.wifi_rate_mbps)
-      .i64(plan.wifi_delay.usec())
-      .f64(plan.lte_rate_mbps)
-      .i64(plan.lte_delay.usec())
-      .u64(plan.probe_seed)
-      .boolean(plan.has_faults);
+      .f64(plan.pos.lon_deg);
+  for (const bool skip : plan.skip) key.boolean(skip);
+  for (const PathId p : kPaths) key.f64(plan.rate_mbps[p]).i64(plan.delay[p].usec());
+  key.u64(plan.probe_seed).boolean(plan.has_faults);
   if (plan.has_faults) {
     // The fault plan and its watchdog change probe behaviour — but the
     // watchdog only for faulted runs, so it only keys here.
@@ -293,22 +272,20 @@ std::string serialize_run_record(const RunRecord& rec) {
   w.put_str(rec.cluster);
   w.put_f64(rec.pos.lat_deg);
   w.put_f64(rec.pos.lon_deg);
-  w.put_bool(rec.wifi_measured);
-  w.put_bool(rec.lte_measured);
-  w.put_f64(rec.wifi_up_mbps);
-  w.put_f64(rec.wifi_down_mbps);
-  w.put_f64(rec.lte_up_mbps);
-  w.put_f64(rec.lte_down_mbps);
-  w.put_f64(rec.wifi_rtt_ms);
-  w.put_f64(rec.lte_rtt_ms);
+  // Field-major: both measured flags, up/down per path, both RTTs.
+  for (const bool measured : rec.measured) w.put_bool(measured);
+  for (const PathId p : kPaths) {
+    w.put_f64(rec.up_mbps[p]);
+    w.put_f64(rec.down_mbps[p]);
+  }
+  for (const double rtt : rec.rtt_ms) w.put_f64(rtt);
   w.put_bool(rec.failed);
   w.put_str(rec.failure_reason);
   w.put_bool(rec.mp_probed);
   w.put_bool(rec.negotiated_mp);
   w.put_bool(rec.achieved_mp);
   w.put_str(rec.fallback_reason);
-  w.put_f64(rec.energy_wifi_j);
-  w.put_f64(rec.energy_lte_j);
+  for (const double joules : rec.energy_j) w.put_f64(joules);
   w.put_str(rec.scheduler);
   store::put_metrics_snapshot(w, rec.metrics);
   return w.take();
@@ -324,14 +301,12 @@ RunRecord parse_run_record(std::string_view blob) {
   rec.cluster = r.get_str();
   rec.pos.lat_deg = r.get_f64();
   rec.pos.lon_deg = r.get_f64();
-  rec.wifi_measured = r.get_bool();
-  rec.lte_measured = r.get_bool();
-  rec.wifi_up_mbps = r.get_f64();
-  rec.wifi_down_mbps = r.get_f64();
-  rec.lte_up_mbps = r.get_f64();
-  rec.lte_down_mbps = r.get_f64();
-  rec.wifi_rtt_ms = r.get_f64();
-  rec.lte_rtt_ms = r.get_f64();
+  for (bool& measured : rec.measured) measured = r.get_bool();
+  for (const PathId p : kPaths) {
+    rec.up_mbps[p] = r.get_f64();
+    rec.down_mbps[p] = r.get_f64();
+  }
+  for (double& rtt : rec.rtt_ms) rtt = r.get_f64();
   rec.failed = r.get_bool();
   rec.failure_reason = r.get_str();
   rec.mp_probed = r.get_bool();
@@ -339,8 +314,7 @@ RunRecord parse_run_record(std::string_view blob) {
   rec.achieved_mp = r.get_bool();
   rec.fallback_reason = r.get_str();
   if (version >= 3) {
-    rec.energy_wifi_j = r.get_f64();
-    rec.energy_lte_j = r.get_f64();
+    for (double& joules : rec.energy_j) joules = r.get_f64();
     rec.scheduler = r.get_str();
   }
   rec.metrics = store::get_metrics_snapshot(r);
@@ -373,29 +347,50 @@ obs::MetricsSnapshot merge_run_metrics(const std::vector<RunRecord>& runs) {
   return total;
 }
 
+namespace {
+
+/// CSV column of a per-path quantity: "wifi_up", "lte_rtt_ms",
+/// "m_energy_wifi_j", ...
+std::string path_col(std::string_view prefix, PathId p, std::string_view suffix) {
+  return std::string{prefix}.append(path_name(p)).append(suffix);
+}
+
+}  // namespace
+
 CsvWriter to_csv(const std::vector<RunRecord>& runs) {
-  CsvWriter w{{"cluster", "lat", "lon", "wifi_up", "wifi_down", "lte_up", "lte_down",
-               "wifi_rtt_ms", "lte_rtt_ms", "m_retransmits", "m_rto", "m_drops",
-               "negotiated_mp", "achieved_mp", "fallback_reason", "m_energy_wifi_j",
-               "m_energy_lte_j", "scheduler"}};
+  // Field-major like the blob: up/down per path, then both RTTs, then
+  // both energies.
+  std::vector<std::string> header{"cluster", "lat", "lon"};
+  for (const PathId p : kPaths) {
+    header.insert(header.end(), {path_col("", p, "_up"), path_col("", p, "_down")});
+  }
+  for (const PathId p : kPaths) header.push_back(path_col("", p, "_rtt_ms"));
+  header.insert(header.end(), {"m_retransmits", "m_rto", "m_drops", "negotiated_mp",
+                               "achieved_mp", "fallback_reason"});
+  for (const PathId p : kPaths) header.push_back(path_col("m_energy_", p, "_j"));
+  header.push_back("scheduler");
+  CsvWriter w{std::move(header)};
   for (const auto& r : runs) {
     if (!r.complete()) continue;
     // format_double (shortest round-trip form): from_csv(to_csv(runs))
     // must reproduce every value bit-for-bit.  The MPTCP columns encode
     // "no probe" as empty (distinct from "0"), so mp_probed round-trips.
-    w.add_row({r.cluster, format_double(r.pos.lat_deg), format_double(r.pos.lon_deg),
-               format_double(r.wifi_up_mbps), format_double(r.wifi_down_mbps),
-               format_double(r.lte_up_mbps), format_double(r.lte_down_mbps),
-               format_double(r.wifi_rtt_ms), format_double(r.lte_rtt_ms),
-               std::to_string(r.metrics.value_of("tcp.retransmits")),
-               std::to_string(r.metrics.value_of("tcp.rto_fires")),
-               std::to_string(r.metrics.sum_with_prefix("drop.")),
-               r.mp_probed ? (r.negotiated_mp ? "1" : "0") : "",
-               r.mp_probed ? (r.achieved_mp ? "1" : "0") : "",
-               r.fallback_reason,
-               r.mp_probed ? format_double(r.energy_wifi_j) : "",
-               r.mp_probed ? format_double(r.energy_lte_j) : "",
-               r.scheduler});
+    std::vector<std::string> row{r.cluster, format_double(r.pos.lat_deg),
+                                 format_double(r.pos.lon_deg)};
+    for (const PathId p : kPaths) {
+      row.insert(row.end(), {format_double(r.up_mbps[p]), format_double(r.down_mbps[p])});
+    }
+    for (const double rtt : r.rtt_ms) row.push_back(format_double(rtt));
+    row.insert(row.end(), {std::to_string(r.metrics.value_of("tcp.retransmits")),
+                           std::to_string(r.metrics.value_of("tcp.rto_fires")),
+                           std::to_string(r.metrics.sum_with_prefix("drop.")),
+                           r.mp_probed ? (r.negotiated_mp ? "1" : "0") : "",
+                           r.mp_probed ? (r.achieved_mp ? "1" : "0") : "", r.fallback_reason});
+    for (const double joules : r.energy_j) {
+      row.push_back(r.mp_probed ? format_double(joules) : "");
+    }
+    row.push_back(r.scheduler);
+    w.add_row(std::move(row));
   }
   return w;
 }
@@ -405,12 +400,14 @@ std::vector<RunRecord> from_csv(const CsvData& data) {
   const auto c_cluster = data.col("cluster");
   const auto c_lat = data.col("lat");
   const auto c_lon = data.col("lon");
-  const auto c_wu = data.col("wifi_up");
-  const auto c_wd = data.col("wifi_down");
-  const auto c_lu = data.col("lte_up");
-  const auto c_ld = data.col("lte_down");
-  const auto c_wr = data.col("wifi_rtt_ms");
-  const auto c_lr = data.col("lte_rtt_ms");
+  PerPath<std::size_t> c_up;
+  PerPath<std::size_t> c_down;
+  PerPath<std::size_t> c_rtt;
+  for (const PathId p : kPaths) {
+    c_up[p] = data.col(path_col("", p, "_up"));
+    c_down[p] = data.col(path_col("", p, "_down"));
+  }
+  for (const PathId p : kPaths) c_rtt[p] = data.col(path_col("", p, "_rtt_ms"));
   // Metrics columns appeared with the observability subsystem; files
   // written before it legitimately lack them.
   const auto c_mx = data.find_col("m_retransmits");
@@ -423,9 +420,11 @@ std::vector<RunRecord> from_csv(const CsvData& data) {
   const auto c_fr = data.find_col("fallback_reason");
   // Energy + scheduler columns appeared with the pluggable-scheduler
   // layer; files written before it legitimately lack them.
-  const auto c_ew = data.find_col("m_energy_wifi_j");
-  const auto c_el = data.find_col("m_energy_lte_j");
+  PerPath<std::optional<std::size_t>> c_energy;
+  for (const PathId p : kPaths) c_energy[p] = data.find_col(path_col("m_energy_", p, "_j"));
   const auto c_sc = data.find_col("scheduler");
+  const bool has_energy =
+      std::ranges::all_of(c_energy, [](const auto& c) { return c.has_value(); });
   for (std::size_t i = 0; i < data.rows.size(); ++i) {
     const auto& row = data.rows[i];
     // Rows can come from hand-built CsvData, not just parse_csv (which
@@ -439,13 +438,12 @@ std::vector<RunRecord> from_csv(const CsvData& data) {
       RunRecord r;
       r.cluster = row[c_cluster];
       r.pos = {parse_double(row[c_lat]), parse_double(row[c_lon])};
-      r.wifi_up_mbps = parse_double(row[c_wu]);
-      r.wifi_down_mbps = parse_double(row[c_wd]);
-      r.lte_up_mbps = parse_double(row[c_lu]);
-      r.lte_down_mbps = parse_double(row[c_ld]);
-      r.wifi_rtt_ms = parse_double(row[c_wr]);
-      r.lte_rtt_ms = parse_double(row[c_lr]);
-      r.wifi_measured = r.lte_measured = true;
+      for (const PathId p : kPaths) {
+        r.up_mbps[p] = parse_double(row[c_up[p]]);
+        r.down_mbps[p] = parse_double(row[c_down[p]]);
+      }
+      for (const PathId p : kPaths) r.rtt_ms[p] = parse_double(row[c_rtt[p]]);
+      r.measured.values.fill(true);
       if (c_nm && c_am && c_fr) {
         r.mp_probed = !row[*c_nm].empty();
         if (r.mp_probed) {
@@ -454,9 +452,10 @@ std::vector<RunRecord> from_csv(const CsvData& data) {
           r.fallback_reason = row[*c_fr];
         }
       }
-      if (r.mp_probed && c_ew && c_el && c_sc) {
-        if (!row[*c_ew].empty()) r.energy_wifi_j = parse_double(row[*c_ew]);
-        if (!row[*c_el].empty()) r.energy_lte_j = parse_double(row[*c_el]);
+      if (r.mp_probed && has_energy && c_sc) {
+        for (const PathId p : kPaths) {
+          if (!row[*c_energy[p]].empty()) r.energy_j[p] = parse_double(row[*c_energy[p]]);
+        }
         r.scheduler = row[*c_sc];
       }
       if (c_mx && c_mr && c_md) {
@@ -502,9 +501,9 @@ CampaignAnalysis analyze_campaign(const std::vector<RunRecord>& runs) {
   CampaignAnalysis a;
   for (const auto& r : runs) {
     if (!r.complete()) continue;
-    a.up_diff.add(r.wifi_up_mbps - r.lte_up_mbps);
-    a.down_diff.add(r.wifi_down_mbps - r.lte_down_mbps);
-    a.rtt_diff.add(r.wifi_rtt_ms - r.lte_rtt_ms);
+    a.up_diff.add(r.up_mbps[PathId::kWifi] - r.up_mbps[PathId::kLte]);
+    a.down_diff.add(r.down_mbps[PathId::kWifi] - r.down_mbps[PathId::kLte]);
+    a.rtt_diff.add(r.rtt_ms[PathId::kWifi] - r.rtt_ms[PathId::kLte]);
   }
   return a;
 }

@@ -7,7 +7,9 @@
 // filtered exactly like the paper filters its dataset.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -27,14 +29,10 @@ namespace mn {
 struct RunRecord {
   std::string cluster;  // ground-truth origin (for cluster labelling)
   GeoPoint pos;
-  bool wifi_measured = false;
-  bool lte_measured = false;
-  double wifi_up_mbps = 0.0;
-  double wifi_down_mbps = 0.0;
-  double lte_up_mbps = 0.0;
-  double lte_down_mbps = 0.0;
-  double wifi_rtt_ms = 0.0;  // 10-ping average
-  double lte_rtt_ms = 0.0;
+  PerPath<bool> measured;
+  PerPath<double> up_mbps;
+  PerPath<double> down_mbps;
+  PerPath<double> rtt_ms;  // 10-ping average
   /// The run aborted (probe threw or its flow stalled/timed out).  Failed
   /// runs stay in the record list — the campaign never aborts wholesale —
   /// but are excluded from the analysis like the paper's filtered runs.
@@ -53,8 +51,7 @@ struct RunRecord {
   /// Per-radio energy of the MPTCP probe (Figure-16 power model,
   /// integrated to flow end + 20 s so the LTE tail is fully counted).
   /// Zero when mp_probed is false.
-  double energy_wifi_j = 0.0;
-  double energy_lte_j = 0.0;
+  PerPath<double> energy_j;
   /// Scheduler the MPTCP probe ran under ("" when mp_probed is false).
   std::string scheduler;
   /// Per-run observability snapshot: every probe simulator in this run
@@ -63,9 +60,13 @@ struct RunRecord {
   /// parallelism because records stay in plan order.
   obs::MetricsSnapshot metrics;
 
-  [[nodiscard]] bool complete() const { return wifi_measured && lte_measured && !failed; }
+  [[nodiscard]] bool complete() const {
+    return std::ranges::all_of(measured, std::identity{}) && !failed;
+  }
   /// The Table-1 win criterion: LTE faster on the downlink.
-  [[nodiscard]] bool lte_wins() const { return lte_down_mbps > wifi_down_mbps; }
+  [[nodiscard]] bool lte_wins() const {
+    return down_mbps[PathId::kLte] > down_mbps[PathId::kWifi];
+  }
 };
 
 struct CampaignOptions {
@@ -116,12 +117,10 @@ struct CampaignOptions {
 struct RunPlan {
   std::string cluster;
   GeoPoint pos;
-  bool skip_wifi = false;
-  bool skip_lte = false;
-  double wifi_rate_mbps = 0.0;
-  Duration wifi_delay{0};
-  double lte_rate_mbps = 0.0;
-  Duration lte_delay{0};
+  /// The user had this network disabled: no rate or delay is drawn.
+  PerPath<bool> skip;
+  PerPath<double> rate_mbps;
+  PerPath<Duration> delay;
   bool has_faults = false;
   FaultPlan faults;
   /// MPTCP middlebox probe (pre-drawn when the campaign sweeps

@@ -82,10 +82,10 @@ MpNetworkSetup location_setup(const Location20& loc, std::uint64_t seed) {
     return s;
   };
   MpNetworkSetup setup;
-  setup[PathId::kWifi].up = wifi_link("wifi-up");
-  setup[PathId::kWifi].down = wifi_link("wifi-down");
-  setup[PathId::kLte].up = lte_link("lte-up");
-  setup[PathId::kLte].down = lte_link("lte-down");
+  setup.paths[PathId::kWifi].up = wifi_link("wifi-up");
+  setup.paths[PathId::kWifi].down = wifi_link("wifi-down");
+  setup.paths[PathId::kLte].up = lte_link("lte-up");
+  setup.paths[PathId::kLte].down = lte_link("lte-down");
   return setup;
 }
 

@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <cstdio>
+#include <string_view>
 
 namespace mn {
 
@@ -11,17 +12,17 @@ void StreamingClusterStats::merge_from(const StreamingClusterStats& other) {
   users_completed += other.users_completed;
   both_measured += other.both_measured;
   lte_wins += other.lte_wins;
-  wifi_down_mbps.merge_from(other.wifi_down_mbps);
-  lte_down_mbps.merge_from(other.lte_down_mbps);
   mptcp_down_mbps.merge_from(other.mptcp_down_mbps);
-  wifi_rtt_ms.merge_from(other.wifi_rtt_ms);
-  lte_rtt_ms.merge_from(other.lte_rtt_ms);
+  for (const PathId p : kPaths) {
+    down_mbps[p].merge_from(other.down_mbps[p]);
+    rtt_ms[p].merge_from(other.rtt_ms[p]);
+  }
 }
 
 std::size_t StreamingClusterStats::memory_bytes() const {
-  return sizeof(*this) + wifi_down_mbps.memory_bytes() + lte_down_mbps.memory_bytes() +
-         mptcp_down_mbps.memory_bytes() + wifi_rtt_ms.memory_bytes() +
-         lte_rtt_ms.memory_bytes();
+  std::size_t total = sizeof(*this) + mptcp_down_mbps.memory_bytes();
+  for (const PathId p : kPaths) total += down_mbps[p].memory_bytes() + rtt_ms[p].memory_bytes();
+  return total;
 }
 
 StreamingRunStats::StreamingRunStats(const std::vector<ClusterSpec>& world) {
@@ -42,13 +43,10 @@ void StreamingRunStats::add_run_record(std::size_t cluster_idx, const RunRecord&
   ++c.users_started;
   if (rec.failed) return;  // the campaign analysis filters these too
   ++c.users_completed;
-  if (rec.wifi_measured) {
-    c.wifi_down_mbps.add(rec.wifi_down_mbps);
-    c.wifi_rtt_ms.add(rec.wifi_rtt_ms);
-  }
-  if (rec.lte_measured) {
-    c.lte_down_mbps.add(rec.lte_down_mbps);
-    c.lte_rtt_ms.add(rec.lte_rtt_ms);
+  for (const PathId p : kPaths) {
+    if (!rec.measured[p]) continue;
+    c.down_mbps[p].add(rec.down_mbps[p]);
+    c.rtt_ms[p].add(rec.rtt_ms[p]);
   }
   if (rec.complete()) {
     ++c.both_measured;
@@ -57,11 +55,12 @@ void StreamingRunStats::add_run_record(std::size_t cluster_idx, const RunRecord&
 }
 
 namespace {
-void append_sketch(std::string& out, const char* label, const QuantileSketch& s) {
+void append_sketch(std::string& out, std::string_view label, const QuantileSketch& s) {
   char buf[256];
   std::snprintf(buf, sizeof buf,
-                "  %s n=%llu q0=%.17g q25=%.17g q50=%.17g q90=%.17g q99=%.17g q100=%.17g\n",
-                label, static_cast<unsigned long long>(s.count()), s.quantile(0.0),
+                "  %.*s n=%llu q0=%.17g q25=%.17g q50=%.17g q90=%.17g q99=%.17g q100=%.17g\n",
+                static_cast<int>(label.size()), label.data(),
+                static_cast<unsigned long long>(s.count()), s.quantile(0.0),
                 s.quantile(0.25), s.quantile(0.5), s.quantile(0.9), s.quantile(0.99),
                 s.quantile(1.0));
   out += buf;
@@ -80,23 +79,31 @@ std::string StreamingRunStats::digest() const {
                   static_cast<unsigned long long>(c.both_measured),
                   static_cast<unsigned long long>(c.lte_wins));
     out += buf;
-    append_sketch(out, "wifi_down", c.wifi_down_mbps);
-    append_sketch(out, "lte_down", c.lte_down_mbps);
+    // Field-major: both downlink sketches, MPTCP's, then both RTTs.
+    for (const PathId p : kPaths) {
+      append_sketch(out, std::string{path_name(p)} + "_down", c.down_mbps[p]);
+    }
     append_sketch(out, "mptcp_down", c.mptcp_down_mbps);
-    append_sketch(out, "wifi_rtt", c.wifi_rtt_ms);
-    append_sketch(out, "lte_rtt", c.lte_rtt_ms);
+    for (const PathId p : kPaths) {
+      append_sketch(out, std::string{path_name(p)} + "_rtt", c.rtt_ms[p]);
+    }
   }
   return out;
 }
 
 Table StreamingRunStats::table1() const {
-  Table t{{"Location Name", "Users", "LTE %", "WiFi p50 (Mbps)", "LTE p50 (Mbps)",
-           "MPTCP p50 (Mbps)", "WiFi p50 RTT (ms)", "LTE p50 RTT (ms)"}};
+  std::vector<std::string> header{"Location Name", "Users", "LTE %"};
+  for (const PathId p : kPaths) header.push_back(to_string(p) + " p50 (Mbps)");
+  header.push_back("MPTCP p50 (Mbps)");
+  for (const PathId p : kPaths) header.push_back(to_string(p) + " p50 RTT (ms)");
+  Table t{std::move(header)};
   for (const StreamingClusterStats& c : clusters_) {
-    t.add_row({c.name, std::to_string(c.users_completed), Table::pct(c.lte_win_fraction()),
-               Table::num(c.wifi_down_mbps.median()), Table::num(c.lte_down_mbps.median()),
-               Table::num(c.mptcp_down_mbps.median()), Table::num(c.wifi_rtt_ms.median(), 1),
-               Table::num(c.lte_rtt_ms.median(), 1)});
+    std::vector<std::string> row{c.name, std::to_string(c.users_completed),
+                                 Table::pct(c.lte_win_fraction())};
+    for (const QuantileSketch& s : c.down_mbps) row.push_back(Table::num(s.median()));
+    row.push_back(Table::num(c.mptcp_down_mbps.median()));
+    for (const QuantileSketch& s : c.rtt_ms) row.push_back(Table::num(s.median(), 1));
+    t.add_row(std::move(row));
   }
   return t;
 }

@@ -34,11 +34,9 @@ struct StreamingClusterStats {
   std::uint64_t both_measured = 0;    // measured both WiFi and LTE
   std::uint64_t lte_wins = 0;         // LTE downlink beat WiFi downlink
 
-  QuantileSketch wifi_down_mbps;
-  QuantileSketch lte_down_mbps;
+  PerPath<QuantileSketch> down_mbps;
   QuantileSketch mptcp_down_mbps;
-  QuantileSketch wifi_rtt_ms;
-  QuantileSketch lte_rtt_ms;
+  PerPath<QuantileSketch> rtt_ms;
 
   /// Bit-exact, order-free (counter adds + sketch merges).
   void merge_from(const StreamingClusterStats& other);
@@ -71,7 +69,7 @@ class StreamingRunStats {
   /// Bridge from the private-link campaign: fold one finished
   /// RunRecord into cluster `cluster_idx` using the same filtering the
   /// batch analysis applies (failed runs are dropped; the win counter
-  /// uses RunRecord's own lte_won criterion).  This is what makes the
+  /// uses RunRecord's own lte_wins() criterion).  This is what makes the
   /// shared-world and campaign pipelines comparable quantile-for-
   /// quantile in EXPERIMENTS.md.
   void add_run_record(std::size_t cluster_idx, const RunRecord& rec);

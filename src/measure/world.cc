@@ -25,16 +25,17 @@ ClusterSpec make_cluster(std::string name, GeoPoint centre, int runs, double lte
   c.runs = runs;
   c.lte_win_target = lte_win;
 
-  c.wifi_rate.median_mbps = wifi_median_mbps;
-  c.wifi_rate.sigma = 0.6;
-  c.lte_rate.sigma = 0.7;
+  RateDist& wifi = c.rate[PathId::kWifi];
+  RateDist& lte = c.rate[PathId::kLte];
+  wifi.median_mbps = wifi_median_mbps;
+  wifi.sigma = 0.6;
+  lte.sigma = 0.7;
   // P(LTE > WiFi) for two log-normals = Phi((muL - muW)/sqrt(sL^2+sW^2)).
   // Solve for muL given the target probability (clamped off 0/1 so the
   // quantile exists; a "0%" row just means LTE is reliably slower there).
   const double p = std::clamp(lte_win, 0.02, 0.98);
   const double z = normal_quantile(p);
-  const double spread = std::sqrt(c.wifi_rate.sigma * c.wifi_rate.sigma +
-                                  c.lte_rate.sigma * c.lte_rate.sigma);
+  const double spread = std::sqrt(wifi.sigma * wifi.sigma + lte.sigma * lte.sigma);
   // TCP-extraction bias: measured end-to-end, TCP pulls a smaller share
   // of a bursty, bufferbloated LTE link's nominal rate than of a WiFi
   // link's.  The factor was calibrated empirically so that a cluster's
@@ -44,16 +45,13 @@ ClusterSpec make_cluster(std::string name, GeoPoint centre, int runs, double lte
   // means deeper queues and burstier service), so the correction grows
   // with the target win probability.
   const double tcp_pipeline_bias = 1.95 + 0.8 * p;
-  c.lte_rate.median_mbps =
+  lte.median_mbps =
       std::clamp(wifi_median_mbps * std::exp(z * spread) * tcp_pipeline_bias, 0.5, 50.0);
 
   // Delays: WiFi one-way ~16 ms median, LTE ~26 ms, with enough spread
   // that P(LTE RTT < WiFi RTT) lands near Figure 4's 20% after the
   // (LTE-penalizing) serialization delay of the ping itself.
-  c.wifi_delay.median = msec(16);
-  c.wifi_delay.sigma = 0.55;
-  c.lte_delay.median = msec(26);
-  c.lte_delay.sigma = 0.55;
+  c.delay = {DelayDist{msec(16), 0.55}, DelayDist{msec(26), 0.55}};
   return c;
 }
 

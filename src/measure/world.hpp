@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "mptcp/mptcp.hpp"
 #include "util/geo.hpp"
 #include "util/rng.hpp"
 #include "util/time.hpp"
@@ -42,10 +43,8 @@ struct ClusterSpec {
   int runs = 0;                 // Table-1 "# of Runs"
   double lte_win_target = 0.0;  // Table-1 "LTE %"
 
-  RateDist wifi_rate;
-  RateDist lte_rate;
-  DelayDist wifi_delay;
-  DelayDist lte_delay;
+  PerPath<RateDist> rate;
+  PerPath<DelayDist> delay;
 };
 
 /// The 22 Table-1 clusters, rates calibrated to the per-row LTE-win

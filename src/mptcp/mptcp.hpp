@@ -21,15 +21,32 @@ enum class PathId : int { kWifi = 0, kLte = 1 };
 /// Every PathId in index order: loops over the networks use this.
 inline constexpr std::array<PathId, 2> kPaths{PathId::kWifi, PathId::kLte};
 
+/// One value per network, indexed by PathId.  Whatever the pipeline
+/// keeps once per network lives in one of these, so code loops over
+/// kPaths instead of spelling out a WiFi twin and an LTE twin.
+template <class T>
+struct PerPath {
+  std::array<T, kPaths.size()> values{};
+
+  [[nodiscard]] constexpr T& operator[](PathId p) { return values[static_cast<std::size_t>(p)]; }
+  [[nodiscard]] constexpr const T& operator[](PathId p) const {
+    return values[static_cast<std::size_t>(p)];
+  }
+  [[nodiscard]] constexpr auto begin() { return values.begin(); }
+  [[nodiscard]] constexpr auto end() { return values.end(); }
+  [[nodiscard]] constexpr auto begin() const { return values.begin(); }
+  [[nodiscard]] constexpr auto end() const { return values.end(); }
+};
+
 [[nodiscard]] inline std::string to_string(PathId p) {
   return p == PathId::kWifi ? "WiFi" : "LTE";
 }
 
-/// Lowercase machine name ("wifi" / "lte"): interface names and the
-/// serialized FaultPlan text.
+/// Lowercase machine name ("wifi" / "lte"): interface names, CSV
+/// columns and the serialized FaultPlan text.
 [[nodiscard]] constexpr std::string_view path_name(PathId p) {
-  constexpr std::array<std::string_view, 2> kNames{"wifi", "lte"};
-  return kNames[static_cast<std::size_t>(p)];
+  constexpr PerPath<std::string_view> kNames{"wifi", "lte"};
+  return kNames[p];
 }
 
 /// Congestion-control coupling across subflows (paper Section 3.5).

@@ -8,19 +8,18 @@ namespace mn {
 
 MpNetworkSetup symmetric_setup(const LinkSpec& wifi, const LinkSpec& lte) {
   MpNetworkSetup s;
-  s[PathId::kWifi].up = s[PathId::kWifi].down = wifi;
-  s[PathId::kLte].up = s[PathId::kLte].down = lte;
+  s.paths[PathId::kWifi].up = s.paths[PathId::kWifi].down = wifi;
+  s.paths[PathId::kLte].up = s.paths[PathId::kLte].down = lte;
   return s;
 }
 
 MpNetwork::MpNetwork(Simulator& sim, const MpNetworkSetup& setup) {
   for (const PathId p : kPaths) {
-    paths_[static_cast<std::size_t>(p)] =
-        std::make_unique<DuplexPath>(sim, setup[p].up, setup[p].down);
+    paths_[p] = std::make_unique<DuplexPath>(sim, setup.paths[p].up, setup.paths[p].down);
   }
   for (const PathId p : kPaths) {
-    ifaces_[static_cast<std::size_t>(p)] = std::make_unique<NetworkInterface>(
-        std::string{path_name(p)}, sim, path(p), setup[p].reports_carrier_loss);
+    ifaces_[p] = std::make_unique<NetworkInterface>(std::string{path_name(p)}, sim, path(p),
+                                                    setup.paths[p].reports_carrier_loss);
   }
 }
 
@@ -37,7 +36,8 @@ MptcpTestbed::MptcpTestbed(Simulator& sim, const MpNetworkSetup& setup, MptcpSpe
       net_(sim, setup),
       client_(std::make_unique<MptcpAgent>(sim, connection_id, spec, /*is_client=*/true)),
       server_(std::make_unique<MptcpAgent>(sim, connection_id, spec, /*is_client=*/false)),
-      meters_{EnergyMeter{wifi_power_params()}, EnergyMeter{lte_power_params()}} {
+      meters_{EnergyMeter{power_params(PathId::kWifi)},
+              EnergyMeter{power_params(PathId::kLte)}} {
   for (int id = 0; id < std::ssize(kPaths); ++id) {
     const PathId path = client_->subflow_path(id);
     NetworkInterface* iface = &net_.iface(path);
@@ -56,15 +56,14 @@ MptcpTestbed::MptcpTestbed(Simulator& sim, const MpNetworkSetup& setup, MptcpSpe
       [this](std::span<Packet> ps) { server_->on_packets({ps.data(), ps.size()}); });
 
   for (const PathId path : kPaths) {
-    const auto pi = static_cast<std::size_t>(path);
     // Interface state changes drive MPTCP path management on the client.
     net_.iface(path).add_state_listener(
         [this, path](bool up) { client_->notify_path_state(path, up); });
     // Packet-event taps (Figure 15 / energy model).  The same events
     // feed the per-radio energy meters first-class.
-    net_.iface(path).set_tap([this, pi](TimePoint t, PacketDir dir, const Packet& p) {
-      events_[pi].push_back(PacketEvent{t, dir, p.flags, p.payload});
-      meters_[pi].add_activity(t);
+    net_.iface(path).set_tap([this, path](TimePoint t, PacketDir dir, const Packet& p) {
+      events_[path].push_back(PacketEvent{t, dir, p.flags, p.payload});
+      meters_[path].add_activity(t);
     });
   }
 }
@@ -149,10 +148,9 @@ MptcpFlowResult run_mptcp_flow(Simulator& sim, const MpNetworkSetup& setup,
   // (15 s after the FIN) is fully charged to the flow that caused it.
   result.scheduler = spec.scheduler;
   const TimePoint energy_horizon = sim.now() + sec(20);
-  result.energy_wifi_j = bed.radio_energy_joules(PathId::kWifi, energy_horizon);
-  result.energy_lte_j = bed.radio_energy_joules(PathId::kLte, energy_horizon);
-  if (auto* o = sim.obs()) {
-    for (const PathId p : kPaths) {
+  for (const PathId p : kPaths) {
+    result.energy_j[p] = bed.radio_energy_joules(p, energy_horizon);
+    if (auto* o = sim.obs()) {
       bed.meter(p).publish(*o, energy_horizon, /*radio_id=*/static_cast<std::uint8_t>(p));
     }
   }

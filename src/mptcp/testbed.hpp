@@ -32,15 +32,10 @@ struct PathSetup {
   bool reports_carrier_loss = true;
 };
 
-/// Both networks of the multi-homed client, indexed by PathId.
+/// Both networks of the multi-homed client.
 struct MpNetworkSetup {
-  std::array<PathSetup, kPaths.size()> paths{
+  PerPath<PathSetup> paths{
       PathSetup{}, PathSetup{.up = {}, .down = {}, .reports_carrier_loss = false}};
-
-  [[nodiscard]] PathSetup& operator[](PathId p) { return paths[static_cast<std::size_t>(p)]; }
-  [[nodiscard]] const PathSetup& operator[](PathId p) const {
-    return paths[static_cast<std::size_t>(p)];
-  }
 };
 
 /// Symmetric convenience constructor: same spec both directions per path.
@@ -59,10 +54,8 @@ class MpNetwork {
   MpNetwork& operator=(const MpNetwork&) = delete;
   ~MpNetwork();
 
-  [[nodiscard]] DuplexPath& path(PathId p) { return *paths_[static_cast<std::size_t>(p)]; }
-  [[nodiscard]] NetworkInterface& iface(PathId p) {
-    return *ifaces_[static_cast<std::size_t>(p)];
-  }
+  [[nodiscard]] DuplexPath& path(PathId p) { return *paths_[p]; }
+  [[nodiscard]] NetworkInterface& iface(PathId p) { return *ifaces_[p]; }
 
   /// Deliver client-bound packets from every interface to `client` and
   /// server-bound packets from every path to `server`.
@@ -83,8 +76,8 @@ class MpNetwork {
   }
 
  private:
-  std::array<std::unique_ptr<DuplexPath>, kPaths.size()> paths_;        // index = PathId
-  std::array<std::unique_ptr<NetworkInterface>, kPaths.size()> ifaces_;  // index = PathId
+  PerPath<std::unique_ptr<DuplexPath>> paths_;
+  PerPath<std::unique_ptr<NetworkInterface>> ifaces_;
 };
 
 /// One packet crossing a client interface.
@@ -108,15 +101,13 @@ class MptcpTestbed {
   /// The emulated duplex path behind `path` (fault-injection target).
   [[nodiscard]] DuplexPath& path(PathId path) { return net_.path(path); }
   [[nodiscard]] const std::vector<PacketEvent>& events(PathId path) const {
-    return events_[static_cast<std::size_t>(path)];
+    return events_[path];
   }
   /// First-class radio energy: every packet crossing a client interface
   /// feeds that radio's EnergyMeter (Figure-16 parameters), so per-radio
   /// joules are available on any testbed run without re-deriving them
   /// from the event lists.
-  [[nodiscard]] const EnergyMeter& meter(PathId path) const {
-    return meters_[static_cast<std::size_t>(path)];
-  }
+  [[nodiscard]] const EnergyMeter& meter(PathId path) const { return meters_[path]; }
   /// Radio energy above base load over [0, horizon], in joules.
   [[nodiscard]] double radio_energy_joules(PathId path, TimePoint horizon) const {
     return meter(path).radio_energy_joules(horizon);
@@ -150,8 +141,8 @@ class MptcpTestbed {
   MpNetwork net_;  // built before the agents: sink registration order
   std::unique_ptr<MptcpAgent> client_;
   std::unique_ptr<MptcpAgent> server_;
-  std::array<std::vector<PacketEvent>, kPaths.size()> events_;
-  std::array<EnergyMeter, kPaths.size()> meters_;  // index = PathId
+  PerPath<std::vector<PacketEvent>> events_;
+  PerPath<EnergyMeter> meters_;
 };
 
 /// Client-observed per-subflow byte timelines (index = subflow id;
@@ -182,8 +173,7 @@ struct MptcpFlowResult : FlowOutcome, SubflowTimelines {
   MpScheduler scheduler = MpScheduler::kLowestRtt;
   /// Per-radio energy above base load (joules), integrated from flow
   /// start to end-of-run + 20 s so the LTE tail is fully charged.
-  double energy_wifi_j = 0.0;
-  double energy_lte_j = 0.0;
+  PerPath<double> energy_j;
 };
 
 /// Knobs for run_mptcp_flow beyond the flow itself.

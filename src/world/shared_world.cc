@@ -1,6 +1,7 @@
 #include "world/shared_world.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <memory>
 
 #include "util/parallel.hpp"
@@ -69,15 +70,16 @@ ClusterWorld::ClusterWorld(Simulator& sim, const ClusterSpec& spec, int n_users,
   Rng rng(mix_seed(opt.seed, spec.name));
   for (std::uint32_t i = 0; i < users_.size(); ++i) {
     UserFlow& u = users_[i];
-    u.wifi_phy_mbps = static_cast<float>(spec.wifi_rate.sample(rng));
-    u.lte_phy_mbps = static_cast<float>(spec.lte_rate.sample(rng));
-    u.wifi_rtt_ms = static_cast<float>(2.0 * spec.wifi_delay.sample(rng).millis());
-    u.lte_rtt_ms = static_cast<float>(2.0 * spec.lte_delay.sample(rng).millis());
+    // Both rates, then both delays.
+    for (const PathId p : kPaths) u.phy_mbps[p] = static_cast<float>(spec.rate[p].sample(rng));
+    for (const PathId p : kPaths) {
+      u.rtt_ms[p] = static_cast<float>(2.0 * spec.delay[p].sample(rng).millis());
+    }
     const bool incomplete = rng.uniform() < opt_.incomplete_probability;
     const bool skip_wifi_side = rng.uniform() < 0.5;  // drawn unconditionally
     if (incomplete) {
-      u.skip_wifi = skip_wifi_side;
-      u.skip_lte = !skip_wifi_side;
+      u.skip[PathId::kWifi] = skip_wifi_side;
+      u.skip[PathId::kLte] = !skip_wifi_side;
     }
     const Duration arrival = secs_f(rng.uniform(0.0, opt_.arrival_window_s));
     sim_.schedule_at(TimePoint{} + arrival, [this, i] { start_user(i); });
@@ -87,56 +89,40 @@ ClusterWorld::ClusterWorld(Simulator& sim, const ClusterSpec& spec, int n_users,
 void ClusterWorld::start_user(std::uint32_t i) {
   ++stats_.users_started;
   ++in_flight_;
-  begin_phase(i, kWifi);
+  begin_phase(i, 0);
 }
 
 void ClusterWorld::begin_phase(std::uint32_t i, std::uint8_t phase) {
   UserFlow& u = users_[i];
-  Venue& ven = *venues_[i % venues_.size()];
   u.phase = phase;
-  switch (phase) {
-    case kWifi:
-      if (u.skip_wifi) {
-        begin_phase(i, kLte);
-        return;
-      }
-      u.remaining = opt_.transfer_bytes;
-      u.grants = 0;
-      u.phase_start_us = sim_.now().usec();
-      u.wifi_st = ven.wifi.attach(this, i, u.wifi_phy_mbps);
-      return;
-    case kLte:
-      if (u.skip_lte) {
-        begin_phase(i, kMptcp);
-        return;
-      }
-      u.remaining = opt_.transfer_bytes;
-      u.grants = 0;
-      u.phase_start_us = sim_.now().usec();
-      u.lte_st = ven.lte.attach(this, i, u.lte_phy_mbps);
-      return;
-    case kMptcp:
-      if (!opt_.mptcp_probe || u.skip_wifi || u.skip_lte) {
-        begin_phase(i, kDone);
-        return;
-      }
-      // Dual attach: grants from either cell drain one shared backlog —
-      // the aggregation-throughput shape of the paper's Figure 7.
-      u.remaining = opt_.transfer_bytes;
-      u.grants = 0;
-      u.phase_start_us = sim_.now().usec();
-      u.wifi_st = ven.wifi.attach(this, i, u.wifi_phy_mbps);
-      u.lte_st = ven.lte.attach(this, i, u.lte_phy_mbps);
-      return;
-    case kDone:
-    default:
-      ++stats_.users_completed;
-      --in_flight_;
-      if (u.wifi_down_mbps >= 0.0f && u.lte_down_mbps >= 0.0f) {
-        ++stats_.both_measured;
-        if (u.lte_down_mbps > u.wifi_down_mbps) ++stats_.lte_wins;
-      }
-      return;
+  if (phase == kDone) {
+    ++stats_.users_completed;
+    --in_flight_;
+    if (u.down_mbps[PathId::kWifi] >= 0.0f && u.down_mbps[PathId::kLte] >= 0.0f) {
+      ++stats_.both_measured;
+      if (u.down_mbps[PathId::kLte] > u.down_mbps[PathId::kWifi]) ++stats_.lte_wins;
+    }
+    return;
+  }
+  const bool mptcp = phase == kMptcp;
+  const bool skipped = mptcp ? !opt_.mptcp_probe || std::ranges::any_of(u.skip, std::identity{})
+                             : u.skip[static_cast<PathId>(phase)];
+  if (skipped) {
+    begin_phase(i, static_cast<std::uint8_t>(phase + 1));
+    return;
+  }
+  u.remaining = opt_.transfer_bytes;
+  u.grants = 0;
+  u.phase_start_us = sim_.now().usec();
+  // A single-path probe attaches to its network's cell; the MPTCP probe
+  // attaches to every cell at once, and grants from either drain one
+  // shared backlog — the aggregation-throughput shape of the paper's
+  // Figure 7.
+  Venue& ven = *venues_[i % venues_.size()];
+  for (const PathId p : kPaths) {
+    if (mptcp || p == static_cast<PathId>(phase)) {
+      u.station[p] = ven.cell(p).attach(this, i, u.phy_mbps[p]);
+    }
   }
 }
 
@@ -164,33 +150,21 @@ void ClusterWorld::complete_phase(std::uint32_t i) {
   const double gap_ms =
       u.grants > 0 ? static_cast<double>(dur_us) / 1000.0 / static_cast<double>(u.grants)
                    : 0.0;
-  switch (u.phase) {
-    case kWifi:
-      u.wifi_down_mbps = static_cast<float>(mbps);
-      stats_.wifi_down_mbps.add(mbps);
-      stats_.wifi_rtt_ms.add(static_cast<double>(u.wifi_rtt_ms) + 0.5 * gap_ms);
-      ven.wifi.detach(u.wifi_st);
-      u.wifi_st = StationId{};
-      begin_phase(i, kLte);
-      return;
-    case kLte:
-      u.lte_down_mbps = static_cast<float>(mbps);
-      stats_.lte_down_mbps.add(mbps);
-      stats_.lte_rtt_ms.add(static_cast<double>(u.lte_rtt_ms) + 0.5 * gap_ms);
-      ven.lte.detach(u.lte_st);
-      u.lte_st = StationId{};
-      begin_phase(i, kMptcp);
-      return;
-    case kMptcp:
-    default:
-      stats_.mptcp_down_mbps.add(mbps);
-      ven.wifi.detach(u.wifi_st);
-      ven.lte.detach(u.lte_st);
-      u.wifi_st = StationId{};
-      u.lte_st = StationId{};
-      begin_phase(i, kDone);
-      return;
+  if (u.phase < kMptcp) {
+    const auto p = static_cast<PathId>(u.phase);
+    u.down_mbps[p] = static_cast<float>(mbps);
+    stats_.down_mbps[p].add(mbps);
+    stats_.rtt_ms[p].add(static_cast<double>(u.rtt_ms[p]) + 0.5 * gap_ms);
+  } else {
+    stats_.mptcp_down_mbps.add(mbps);
   }
+  // Detach what the phase attached; the other handles are invalid, and
+  // detaching an invalid handle is a no-op.
+  for (const PathId p : kPaths) {
+    ven.cell(p).detach(u.station[p]);
+    u.station[p] = StationId{};
+  }
+  begin_phase(i, static_cast<std::uint8_t>(u.phase + 1));
 }
 
 std::vector<int> split_users(const std::vector<ClusterSpec>& world,

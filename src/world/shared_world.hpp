@@ -76,7 +76,8 @@ struct WorldOptions {
   std::uint64_t seed = 20130901;
   /// false -> width-1 scalar dispatch (golden tests; results identical).
   bool batch_dispatch = true;
-  /// Worker threads for run_world (0 -> MN_THREADS / hardware).
+  /// Worker threads for run_world: 0/1 = serial, negative = follow
+  /// MN_THREADS (serial when it is unset).
   int parallelism = 0;
 };
 
@@ -110,6 +111,10 @@ class ClusterWorld final : public GrantSink {
                wopt),
           lte(sim, with_backhaul(std::move(lte_cfg), use_backhaul ? &backhaul : nullptr),
               lopt) {}
+    /// The cell serving network `p`.
+    [[nodiscard]] CellBase& cell(PathId p) {
+      return p == PathId::kWifi ? static_cast<CellBase&>(wifi) : lte;
+    }
 
    private:
     static CellConfig with_backhaul(CellConfig c, Backhaul* b) {
@@ -117,24 +122,24 @@ class ClusterWorld final : public GrantSink {
       return c;
     }
   };
-  enum Phase : std::uint8_t { kWifi = 0, kLte = 1, kMptcp = 2, kDone = 3 };
+  /// A user's probes run in phase order: phase p < kMptcp is the
+  /// single-path probe on network PathId(p), then the dual-attached
+  /// MPTCP probe, then done.
+  enum Phase : std::uint8_t { kMptcp = kPaths.size(), kDone };
 
   struct UserFlow {
-    float wifi_phy_mbps = 0.0f;
-    float lte_phy_mbps = 0.0f;
-    float wifi_rtt_ms = 0.0f;  // uncontended base RTTs
-    float lte_rtt_ms = 0.0f;
+    PerPath<float> phy_mbps;
+    PerPath<float> rtt_ms;  // uncontended base RTTs
     std::int64_t remaining = 0;
     std::int64_t phase_start_us = 0;
     std::uint32_t grants = 0;
-    std::uint8_t phase = kWifi;
-    bool skip_wifi = false;
-    bool skip_lte = false;
-    StationId wifi_st;
-    StationId lte_st;
-    float wifi_down_mbps = -1.0f;  // measured; <0 = not measured
-    float lte_down_mbps = -1.0f;
+    std::uint8_t phase = 0;
+    PerPath<bool> skip;
+    PerPath<StationId> station;
+    PerPath<float> down_mbps{-1.0f, -1.0f};  // measured; <0 = not measured
   };
+  // The grant path walks this record on every grant: keep it one cache line.
+  static_assert(sizeof(UserFlow) == 64);
 
   void start_user(std::uint32_t i);
   void begin_phase(std::uint32_t i, std::uint8_t phase);

@@ -8,10 +8,10 @@ namespace {
 LinkEstimate est(double wifi_mbps, double lte_mbps, int wifi_rtt_ms = 20,
                  int lte_rtt_ms = 60) {
   LinkEstimate e;
-  e.wifi_down_mbps = wifi_mbps;
-  e.lte_down_mbps = lte_mbps;
-  e.wifi_rtt = msec(wifi_rtt_ms);
-  e.lte_rtt = msec(lte_rtt_ms);
+  e.down_mbps[PathId::kWifi] = wifi_mbps;
+  e.down_mbps[PathId::kLte] = lte_mbps;
+  e.rtt[PathId::kWifi] = msec(wifi_rtt_ms);
+  e.rtt[PathId::kLte] = msec(lte_rtt_ms);
   return e;
 }
 

@@ -9,8 +9,8 @@ namespace {
 
 LinkEstimate est(double wifi, double lte) {
   LinkEstimate e;
-  e.wifi_down_mbps = wifi;
-  e.lte_down_mbps = lte;
+  e.down_mbps[PathId::kWifi] = wifi;
+  e.down_mbps[PathId::kLte] = lte;
   return e;
 }
 

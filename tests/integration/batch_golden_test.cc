@@ -57,7 +57,8 @@ std::string mptcp_signature(const MptcpFlowResult& r) {
   out.precision(17);
   out << r.completed << "|" << r.throughput_mbps << "|" << r.completion_time.usec()
       << "|" << r.negotiated_mp << "|" << r.achieved_mp << "|" << r.join_attempts
-      << "|" << r.fallback_reason << "|" << r.energy_wifi_j << "|" << r.energy_lte_j
+      << "|" << r.fallback_reason << "|" << r.energy_j[PathId::kWifi] << "|"
+      << r.energy_j[PathId::kLte]
       << "|" << timeline_str(r.timeline) << "#" << timeline_str(r.subflow_timelines[0])
       << "#" << timeline_str(r.subflow_timelines[1]);
   return out.str();

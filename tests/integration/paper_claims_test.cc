@@ -106,8 +106,8 @@ TEST(PaperClaims, AdaptivePolicyTracksOracle) {
     const auto& loc = table2_locations()[static_cast<std::size_t>(li)];
     const auto setup = location_setup(loc, /*seed=*/3);
     LinkEstimate est;
-    est.wifi_down_mbps = loc.wifi_mbps;
-    est.lte_down_mbps = loc.lte_mbps;
+    est.down_mbps[PathId::kWifi] = loc.wifi_mbps;
+    est.down_mbps[PathId::kLte] = loc.lte_mbps;
     for (std::int64_t bytes : {std::int64_t{10 * kKB}, 1000 * kKB}) {
       const auto pick = adaptive_policy(est, bytes);
       const double picked = tput(setup, pick, bytes);

@@ -39,11 +39,11 @@ TEST(Campaign, MeasuredThroughputsArePositiveAndPlausible) {
   opt.incomplete_probability = 0.0;
   opt.run_scale = 0.5;
   for (const auto& r : complete_runs(run_campaign(tiny_world(), opt))) {
-    EXPECT_GT(r.wifi_down_mbps, 0.0);
-    EXPECT_LT(r.wifi_down_mbps, 60.0);
-    EXPECT_GT(r.lte_down_mbps, 0.0);
-    EXPECT_GT(r.wifi_rtt_ms, 1.0);
-    EXPECT_GT(r.lte_rtt_ms, 1.0);
+    EXPECT_GT(r.down_mbps[PathId::kWifi], 0.0);
+    EXPECT_LT(r.down_mbps[PathId::kWifi], 60.0);
+    EXPECT_GT(r.down_mbps[PathId::kLte], 0.0);
+    EXPECT_GT(r.rtt_ms[PathId::kWifi], 1.0);
+    EXPECT_GT(r.rtt_ms[PathId::kLte], 1.0);
   }
 }
 
@@ -76,8 +76,8 @@ TEST(Campaign, DeterministicForSameSeed) {
   const auto b = run_campaign(tiny_world(), opt);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_DOUBLE_EQ(a[i].wifi_down_mbps, b[i].wifi_down_mbps);
-    EXPECT_DOUBLE_EQ(a[i].lte_rtt_ms, b[i].lte_rtt_ms);
+    EXPECT_DOUBLE_EQ(a[i].down_mbps[PathId::kWifi], b[i].down_mbps[PathId::kWifi]);
+    EXPECT_DOUBLE_EQ(a[i].rtt_ms[PathId::kLte], b[i].rtt_ms[PathId::kLte]);
   }
 }
 
@@ -94,12 +94,12 @@ TEST(Campaign, CsvRoundTripIsExact) {
     // Bit-exact: format_double guarantees the shortest round-trip form.
     EXPECT_EQ(back[i].pos.lat_deg, runs[i].pos.lat_deg);
     EXPECT_EQ(back[i].pos.lon_deg, runs[i].pos.lon_deg);
-    EXPECT_EQ(back[i].wifi_up_mbps, runs[i].wifi_up_mbps);
-    EXPECT_EQ(back[i].wifi_down_mbps, runs[i].wifi_down_mbps);
-    EXPECT_EQ(back[i].lte_up_mbps, runs[i].lte_up_mbps);
-    EXPECT_EQ(back[i].lte_down_mbps, runs[i].lte_down_mbps);
-    EXPECT_EQ(back[i].wifi_rtt_ms, runs[i].wifi_rtt_ms);
-    EXPECT_EQ(back[i].lte_rtt_ms, runs[i].lte_rtt_ms);
+    EXPECT_EQ(back[i].up_mbps[PathId::kWifi], runs[i].up_mbps[PathId::kWifi]);
+    EXPECT_EQ(back[i].down_mbps[PathId::kWifi], runs[i].down_mbps[PathId::kWifi]);
+    EXPECT_EQ(back[i].up_mbps[PathId::kLte], runs[i].up_mbps[PathId::kLte]);
+    EXPECT_EQ(back[i].down_mbps[PathId::kLte], runs[i].down_mbps[PathId::kLte]);
+    EXPECT_EQ(back[i].rtt_ms[PathId::kWifi], runs[i].rtt_ms[PathId::kWifi]);
+    EXPECT_EQ(back[i].rtt_ms[PathId::kLte], runs[i].rtt_ms[PathId::kLte]);
   }
   // And the serialized text itself is a fixed point.
   EXPECT_EQ(to_csv(back).str(), to_csv(runs).str());
@@ -115,8 +115,8 @@ TEST(Campaign, FromCsvParsesPreObservabilityFixture) {
   ASSERT_EQ(runs.size(), 3u);
   EXPECT_EQ(runs[0].cluster, "boston");
   EXPECT_EQ(runs[2].cluster, "seattle");
-  EXPECT_DOUBLE_EQ(runs[0].wifi_down_mbps, 11.5);
-  EXPECT_DOUBLE_EQ(runs[2].lte_rtt_ms, 61.5);
+  EXPECT_DOUBLE_EQ(runs[0].down_mbps[PathId::kWifi], 11.5);
+  EXPECT_DOUBLE_EQ(runs[2].rtt_ms[PathId::kLte], 61.5);
   for (const auto& r : runs) {
     EXPECT_TRUE(r.complete());
     // No metrics columns -> no reconstructed snapshot, zeroed metrics.
@@ -129,7 +129,7 @@ TEST(Campaign, FromCsvParsesPreObservabilityFixture) {
   EXPECT_NE(text.find("m_retransmits"), std::string::npos);
   const auto back = from_csv(parse_csv(text));
   ASSERT_EQ(back.size(), runs.size());
-  EXPECT_DOUBLE_EQ(back[1].lte_down_mbps, runs[1].lte_down_mbps);
+  EXPECT_DOUBLE_EQ(back[1].down_mbps[PathId::kLte], runs[1].down_mbps[PathId::kLte]);
 }
 
 TEST(Campaign, FromCsvRejectsMalformedRowsWithRowNumber) {
@@ -179,8 +179,8 @@ TEST(Campaign, ParallelOutputIsByteIdenticalToSerial) {
     for (std::size_t i = 0; i < serial.size(); ++i) {
       EXPECT_EQ(parallel[i].failed, serial[i].failed);
       EXPECT_EQ(parallel[i].failure_reason, serial[i].failure_reason);
-      EXPECT_EQ(parallel[i].wifi_measured, serial[i].wifi_measured);
-      EXPECT_EQ(parallel[i].lte_measured, serial[i].lte_measured);
+      EXPECT_EQ(parallel[i].measured[PathId::kWifi], serial[i].measured[PathId::kWifi]);
+      EXPECT_EQ(parallel[i].measured[PathId::kLte], serial[i].measured[PathId::kLte]);
     }
   }
 }
@@ -228,8 +228,8 @@ TEST(Campaign, ZeroFaultProbabilityPreservesLegacyResults) {
   const auto b = run_campaign(tiny_world(), with_knob);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_DOUBLE_EQ(a[i].wifi_down_mbps, b[i].wifi_down_mbps);
-    EXPECT_DOUBLE_EQ(a[i].lte_down_mbps, b[i].lte_down_mbps);
+    EXPECT_DOUBLE_EQ(a[i].down_mbps[PathId::kWifi], b[i].down_mbps[PathId::kWifi]);
+    EXPECT_DOUBLE_EQ(a[i].down_mbps[PathId::kLte], b[i].down_mbps[PathId::kLte]);
     EXPECT_FALSE(b[i].failed);
   }
 }

@@ -9,9 +9,9 @@ RunRecord run_at(double lat, double lon, const std::string& origin, bool lte_win
   RunRecord r;
   r.pos = {lat, lon};
   r.cluster = origin;
-  r.wifi_measured = r.lte_measured = true;
-  r.wifi_down_mbps = lte_wins ? 5.0 : 10.0;
-  r.lte_down_mbps = lte_wins ? 10.0 : 5.0;
+  r.measured[PathId::kWifi] = r.measured[PathId::kLte] = true;
+  r.down_mbps[PathId::kWifi] = lte_wins ? 5.0 : 10.0;
+  r.down_mbps[PathId::kLte] = lte_wins ? 10.0 : 5.0;
   return r;
 }
 

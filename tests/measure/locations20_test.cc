@@ -44,11 +44,11 @@ TEST(Locations20, MixOfWifiAndLteDominantSites) {
 TEST(Locations20, SetupBuildsTraceLinks) {
   const auto& loc = table2_locations().front();
   const auto setup = location_setup(loc, /*seed=*/1);
-  ASSERT_NE(setup[PathId::kWifi].down.trace, nullptr);
-  ASSERT_NE(setup[PathId::kLte].down.trace, nullptr);
+  ASSERT_NE(setup.paths[PathId::kWifi].down.trace, nullptr);
+  ASSERT_NE(setup.paths[PathId::kLte].down.trace, nullptr);
   // Two-state traces average between their good and bad rates; the
   // long-run mean should sit within ~50% of the nominal rate.
-  EXPECT_NEAR(setup[PathId::kWifi].down.trace->average_rate_mbps(), loc.wifi_mbps,
+  EXPECT_NEAR(setup.paths[PathId::kWifi].down.trace->average_rate_mbps(), loc.wifi_mbps,
               loc.wifi_mbps * 0.5);
 }
 
@@ -56,18 +56,18 @@ TEST(Locations20, SetupIsDeterministicPerSeed) {
   const auto& loc = table2_locations()[3];
   const auto a = location_setup(loc, 7);
   const auto b = location_setup(loc, 7);
-  EXPECT_EQ(a[PathId::kWifi].down.trace->to_mahimahi(),
-            b[PathId::kWifi].down.trace->to_mahimahi());
+  EXPECT_EQ(a.paths[PathId::kWifi].down.trace->to_mahimahi(),
+            b.paths[PathId::kWifi].down.trace->to_mahimahi());
   const auto c = location_setup(loc, 8);
-  EXPECT_NE(a[PathId::kWifi].down.trace->to_mahimahi(),
-            c[PathId::kWifi].down.trace->to_mahimahi());
+  EXPECT_NE(a.paths[PathId::kWifi].down.trace->to_mahimahi(),
+            c.paths[PathId::kWifi].down.trace->to_mahimahi());
 }
 
 TEST(Locations20, TcpOverLocationAchievesRoughlyNominalRate) {
   const auto& loc = table2_locations()[9];  // Boston apartment: WiFi 20 Mbit/s
   const auto setup = location_setup(loc, 3);
   Simulator sim;
-  DuplexPath wifi{sim, setup[PathId::kWifi].up, setup[PathId::kWifi].down};
+  DuplexPath wifi{sim, setup.paths[PathId::kWifi].up, setup.paths[PathId::kWifi].down};
   const auto r = run_bulk_flow(sim, wifi, 1'000'000, Direction::kDownload);
   ASSERT_TRUE(r.completed);
   EXPECT_GT(r.throughput_mbps, loc.wifi_mbps * 0.4);

@@ -51,8 +51,8 @@ TEST(SchedulerCampaign, SweepPopulatesEnergyAndSchedulerColumns) {
       EXPECT_EQ(r.scheduler, to_string(s));
       // Every probe moved real bytes over WiFi; the radio model charges
       // at least one burst + tail for that.
-      EXPECT_GT(r.energy_wifi_j, 0.0) << to_string(s);
-      EXPECT_GE(r.energy_lte_j, 0.0) << to_string(s);
+      EXPECT_GT(r.energy_j[PathId::kWifi], 0.0) << to_string(s);
+      EXPECT_GE(r.energy_j[PathId::kLte], 0.0) << to_string(s);
     }
   }
 }
@@ -83,8 +83,8 @@ TEST(SchedulerCampaign, CsvRoundTripsEnergyColumns) {
   const auto back = from_csv(parse_csv(to_csv(runs).str()));
   ASSERT_EQ(back.size(), runs.size());
   for (std::size_t i = 0; i < runs.size(); ++i) {
-    EXPECT_EQ(back[i].energy_wifi_j, runs[i].energy_wifi_j);
-    EXPECT_EQ(back[i].energy_lte_j, runs[i].energy_lte_j);
+    EXPECT_EQ(back[i].energy_j[PathId::kWifi], runs[i].energy_j[PathId::kWifi]);
+    EXPECT_EQ(back[i].energy_j[PathId::kLte], runs[i].energy_j[PathId::kLte]);
     EXPECT_EQ(back[i].scheduler, runs[i].scheduler);
   }
   // format_double emits the shortest round-trip form, so a second pass
@@ -96,8 +96,8 @@ TEST(SchedulerCampaign, RunRecordBlobRoundTripsEnergyFields) {
   for (const auto& r :
        run_campaign(tiny_world(), scheduler_campaign(MpScheduler::kTailBatch))) {
     const RunRecord back = parse_run_record(serialize_run_record(r));
-    EXPECT_EQ(back.energy_wifi_j, r.energy_wifi_j);
-    EXPECT_EQ(back.energy_lte_j, r.energy_lte_j);
+    EXPECT_EQ(back.energy_j[PathId::kWifi], r.energy_j[PathId::kWifi]);
+    EXPECT_EQ(back.energy_j[PathId::kLte], r.energy_j[PathId::kLte]);
     EXPECT_EQ(back.scheduler, r.scheduler);
     EXPECT_EQ(back.mp_probed, r.mp_probed);
   }
@@ -205,8 +205,8 @@ TEST(SchedulerCampaign, PrePr7V2BlobParsesWithEnergyDefaults) {
   EXPECT_TRUE(rec.achieved_mp);
   EXPECT_EQ(rec.metrics.value_of("tcp.retransmits"), 3);
   // The v3 additions default: zero joules, empty scheduler.
-  EXPECT_EQ(rec.energy_wifi_j, 0.0);
-  EXPECT_EQ(rec.energy_lte_j, 0.0);
+  EXPECT_EQ(rec.energy_j[PathId::kWifi], 0.0);
+  EXPECT_EQ(rec.energy_j[PathId::kLte], 0.0);
   EXPECT_TRUE(rec.scheduler.empty());
 
   // And a record round-tripped today re-serializes as v3.

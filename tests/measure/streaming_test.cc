@@ -15,12 +15,12 @@ namespace {
 
 RunRecord record(double wifi_down, double lte_down, bool failed = false) {
   RunRecord r;
-  r.wifi_measured = true;
-  r.lte_measured = true;
-  r.wifi_down_mbps = wifi_down;
-  r.lte_down_mbps = lte_down;
-  r.wifi_rtt_ms = 40.0;
-  r.lte_rtt_ms = 60.0;
+  r.measured[PathId::kWifi] = true;
+  r.measured[PathId::kLte] = true;
+  r.down_mbps[PathId::kWifi] = wifi_down;
+  r.down_mbps[PathId::kLte] = lte_down;
+  r.rtt_ms[PathId::kWifi] = 40.0;
+  r.rtt_ms[PathId::kLte] = 60.0;
   r.failed = failed;
   return r;
 }
@@ -34,7 +34,7 @@ TEST(StreamingRunStats, RunRecordBridgeMatchesCampaignFiltering) {
   stats.add_run_record(0, record(10.0, 5.0));          // WiFi wins
   stats.add_run_record(0, record(1.0, 2.0, /*failed=*/true));  // filtered
   RunRecord wifi_only = record(7.0, 0.0);
-  wifi_only.lte_measured = false;  // incomplete: out of the denominator
+  wifi_only.measured[PathId::kLte] = false;  // incomplete: out of the denominator
   stats.add_run_record(0, wifi_only);
 
   const StreamingClusterStats& c = stats.cluster(0);
@@ -43,8 +43,8 @@ TEST(StreamingRunStats, RunRecordBridgeMatchesCampaignFiltering) {
   EXPECT_EQ(c.both_measured, 2u);
   EXPECT_EQ(c.lte_wins, 1u);
   EXPECT_DOUBLE_EQ(c.lte_win_fraction(), 0.5);
-  EXPECT_EQ(c.wifi_down_mbps.count(), 3u);  // wifi-only run still sampled
-  EXPECT_EQ(c.lte_down_mbps.count(), 2u);
+  EXPECT_EQ(c.down_mbps[PathId::kWifi].count(), 3u);  // wifi-only run still sampled
+  EXPECT_EQ(c.down_mbps[PathId::kLte].count(), 2u);
 }
 
 TEST(StreamingRunStats, IndexAlignedMergeIsExact) {

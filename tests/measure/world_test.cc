@@ -24,10 +24,11 @@ TEST(World, CalibrationPlacesLteRelativeToWifi) {
   // clusters below (allowing the TCP-pipeline bias headroom).
   for (const auto& c : table1_world()) {
     if (c.lte_win_target >= 0.7) {
-      EXPECT_GT(c.lte_rate.median_mbps, c.wifi_rate.median_mbps) << c.name;
+      EXPECT_GT(c.rate[PathId::kLte].median_mbps, c.rate[PathId::kWifi].median_mbps) << c.name;
     }
     if (c.lte_win_target <= 0.1) {
-      EXPECT_LT(c.lte_rate.median_mbps, c.wifi_rate.median_mbps * 1.05) << c.name;
+      EXPECT_LT(c.rate[PathId::kLte].median_mbps, c.rate[PathId::kWifi].median_mbps * 1.05)
+          << c.name;
     }
   }
 }
@@ -43,8 +44,8 @@ TEST(World, CalibrationHitsWinTargetEmpirically) {
   int wins = 0;
   const int n = 20000;
   for (int i = 0; i < n; ++i) {
-    const double wifi = cluster.wifi_rate.sample(rng);
-    const double lte = cluster.lte_rate.sample(rng);
+    const double wifi = cluster.rate[PathId::kWifi].sample(rng);
+    const double lte = cluster.rate[PathId::kLte].sample(rng);
     wins += lte > wifi;
   }
   const double raw = static_cast<double>(wins) / n;
@@ -56,7 +57,7 @@ TEST(World, RateSamplesStayInPhysicalRange) {
   Rng rng{5};
   const auto cluster = make_cluster("x", {0, 0}, 1, 0.5, 10.0);
   for (int i = 0; i < 1000; ++i) {
-    const double r = cluster.wifi_rate.sample(rng);
+    const double r = cluster.rate[PathId::kWifi].sample(rng);
     EXPECT_GE(r, 0.3);
     EXPECT_LE(r, 60.0);
   }
@@ -66,7 +67,7 @@ TEST(World, DelaySamplesStayInRange) {
   Rng rng{6};
   const auto cluster = make_cluster("x", {0, 0}, 1, 0.5, 10.0);
   for (int i = 0; i < 1000; ++i) {
-    const Duration d = cluster.lte_delay.sample(rng);
+    const Duration d = cluster.delay[PathId::kLte].sample(rng);
     EXPECT_GE(d.usec(), msec(2).usec());
     EXPECT_LE(d.usec(), msec(400).usec());
   }
@@ -74,8 +75,8 @@ TEST(World, DelaySamplesStayInRange) {
 
 TEST(World, ZeroWinTargetIsClampedNotDegenerate) {
   const auto c = make_cluster("sweden", {59.6, 18.6}, 16, 0.0, 16.0);
-  EXPECT_GT(c.lte_rate.median_mbps, 0.0);
-  EXPECT_LT(c.lte_rate.median_mbps, c.wifi_rate.median_mbps / 2.0);
+  EXPECT_GT(c.rate[PathId::kLte].median_mbps, 0.0);
+  EXPECT_LT(c.rate[PathId::kLte].median_mbps, c.rate[PathId::kWifi].median_mbps / 2.0);
 }
 
 }  // namespace

@@ -19,15 +19,15 @@ LinkSpec mk(double mbps, Duration delay, int queue = 64) {
 
 MpNetworkSetup net_with_wifi_box(const MiddleboxSpec& box) {
   auto net = symmetric_setup(mk(10, msec(10)), mk(5, msec(30)));
-  net[PathId::kWifi].up.middlebox = box;
-  net[PathId::kWifi].down.middlebox = box;
+  net.paths[PathId::kWifi].up.middlebox = box;
+  net.paths[PathId::kWifi].down.middlebox = box;
   return net;
 }
 
 MpNetworkSetup net_with_lte_box(const MiddleboxSpec& box) {
   auto net = symmetric_setup(mk(10, msec(10)), mk(5, msec(30)));
-  net[PathId::kLte].up.middlebox = box;
-  net[PathId::kLte].down.middlebox = box;
+  net.paths[PathId::kLte].up.middlebox = box;
+  net.paths[PathId::kLte].down.middlebox = box;
   return net;
 }
 
@@ -184,8 +184,8 @@ TEST(MiddleboxFallback, NoHangForAnyHandshakeInterference) {
         spec.primary = PathId::kWifi;
         auto net = symmetric_setup(mk(10, msec(10)), mk(5, msec(30)));
         for (const PathId p : kPaths) {
-          net[p].up.middlebox = box;
-          net[p].down.middlebox = box;
+          net.paths[p].up.middlebox = box;
+          net.paths[p].down.middlebox = box;
         }
         const auto r = run(net, spec, 200'000);
         ASSERT_TRUE(r.completed)

@@ -105,8 +105,8 @@ TEST(Scheduler, EnergyAwareShortFlowNeverWakesLte) {
   const auto r = run(net, spec, 100'000);
   ASSERT_TRUE(r.completed) << r.failure_reason;
   EXPECT_FALSE(r.achieved_mp) << "LTE joined for a flow far below the engage gate";
-  EXPECT_LT(r.energy_lte_j, 0.01);
-  EXPECT_GT(r.energy_wifi_j, 0.0);
+  EXPECT_LT(r.energy_j[PathId::kLte], 0.01);
+  EXPECT_GT(r.energy_j[PathId::kWifi], 0.0);
 }
 
 TEST(Scheduler, EnergyAwareLongFlowEngagesLte) {
@@ -119,7 +119,7 @@ TEST(Scheduler, EnergyAwareLongFlowEngagesLte) {
   EXPECT_TRUE(r.achieved_mp) << "the flow proved itself big; LTE should engage";
   // LTE carried data and paid (at least) one 15 s tail.
   EXPECT_GT(subflow_bytes(r, 1), 50'000);
-  EXPECT_GT(r.energy_lte_j, 10.0);
+  EXPECT_GT(r.energy_j[PathId::kLte], 10.0);
 }
 
 TEST(Scheduler, EnergyAwareEngageThresholdIsTunable) {

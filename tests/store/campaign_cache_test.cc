@@ -176,8 +176,8 @@ TEST_F(CampaignCacheTest, RunRecordBlobRoundTripsExactly) {
     const RunRecord back = parse_run_record(serialize_run_record(rec));
     EXPECT_EQ(back.cluster, rec.cluster);
     EXPECT_EQ(back.pos.lat_deg, rec.pos.lat_deg);  // bit-exact doubles
-    EXPECT_EQ(back.wifi_up_mbps, rec.wifi_up_mbps);
-    EXPECT_EQ(back.lte_rtt_ms, rec.lte_rtt_ms);
+    EXPECT_EQ(back.up_mbps[PathId::kWifi], rec.up_mbps[PathId::kWifi]);
+    EXPECT_EQ(back.rtt_ms[PathId::kLte], rec.rtt_ms[PathId::kLte]);
     EXPECT_EQ(back.failed, rec.failed);
     EXPECT_EQ(back.failure_reason, rec.failure_reason);
     EXPECT_EQ(back.metrics.prometheus_text(), rec.metrics.prometheus_text());
@@ -397,20 +397,20 @@ TEST(CampaignBytes, RunRecordBlobIsPinned) {
   RunRecord rec;
   rec.cluster = "Pinned";
   rec.pos = {42.25, -71.5};
-  rec.wifi_measured = true;
-  rec.lte_measured = false;
-  rec.wifi_up_mbps = 1.5;
-  rec.wifi_down_mbps = 2.5;
-  rec.lte_up_mbps = 3.5;
-  rec.lte_down_mbps = 4.5;
-  rec.wifi_rtt_ms = 20.25;
-  rec.lte_rtt_ms = 40.75;
+  rec.measured[PathId::kWifi] = true;
+  rec.measured[PathId::kLte] = false;
+  rec.up_mbps[PathId::kWifi] = 1.5;
+  rec.down_mbps[PathId::kWifi] = 2.5;
+  rec.up_mbps[PathId::kLte] = 3.5;
+  rec.down_mbps[PathId::kLte] = 4.5;
+  rec.rtt_ms[PathId::kWifi] = 20.25;
+  rec.rtt_ms[PathId::kLte] = 40.75;
   rec.mp_probed = true;
   rec.negotiated_mp = true;
   rec.achieved_mp = false;
   rec.fallback_reason = "join_rejected";
-  rec.energy_wifi_j = 0.125;
-  rec.energy_lte_j = 16.5;
+  rec.energy_j[PathId::kWifi] = 0.125;
+  rec.energy_j[PathId::kLte] = 16.5;
   rec.scheduler = "Redundant";
   obs::SnapshotEntry retransmits;
   retransmits.name = "tcp.retransmits";
@@ -437,7 +437,7 @@ TEST(CampaignBytes, ScenarioKeysArePinned) {
             "b3701df6d5cce546912ef4ac6058ab02");
   EXPECT_EQ(first([](const RunPlan& p) { return p.has_faults; }),
             "638bd6a86b334344477baf6b3547403a");
-  EXPECT_EQ(first([](const RunPlan& p) { return p.skip_wifi || p.skip_lte; }),
+  EXPECT_EQ(first([](const RunPlan& p) { return p.skip[PathId::kWifi] || p.skip[PathId::kLte]; }),
             "49409e44dcc8e7202e469312d2438bb6");
 }
 

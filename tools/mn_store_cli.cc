@@ -53,9 +53,10 @@ int cmd_dump(const std::string& dir) {
       const mn::RunRecord rec = mn::parse_run_record(blob);
       std::cout << "  cluster=" << rec.cluster;
       if (rec.mp_probed) {
-        std::cout << "  scheduler=" << (rec.scheduler.empty() ? "-" : rec.scheduler)
-                  << "  energy_wifi_j=" << rec.energy_wifi_j
-                  << "  energy_lte_j=" << rec.energy_lte_j;
+        std::cout << "  scheduler=" << (rec.scheduler.empty() ? "-" : rec.scheduler);
+        for (const mn::PathId p : mn::kPaths) {
+          std::cout << "  energy_" << mn::path_name(p) << "_j=" << rec.energy_j[p];
+        }
       }
     } catch (const std::exception&) {
     }
