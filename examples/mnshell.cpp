@@ -5,8 +5,7 @@
 //
 //   mnshell gen-trace --kind poisson --mbps 8 --seconds 4 --out lte.trace
 //   mnshell show-trace lte.trace
-//   mnshell run --wifi-trace wifi.trace --lte-trace lte.trace \
-//               --bytes 1000000 --config mptcp-coupled-wifi
+//   mnshell run --wifi-trace wifi.trace --lte-trace lte.trace --bytes 1000000 --config mptcp-coupled-wifi
 //   mnshell run --wifi-mbps 12 --lte-mbps 6 --bytes 1000000 --config all
 #include <cstring>
 #include <iostream>

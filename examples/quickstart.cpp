@@ -118,8 +118,7 @@ int main() {
     cache.seal_active();
     // The same directory can back a fleet of workers over a socket —
     // store::remote::RemoteStore is a drop-in for the cache above:
-    //   ./build/tools/mn_store serve quickstart_out/quickstart_store \
-    //       --socket /tmp/mn.sock &
+    //   ./build/tools/mn_store serve quickstart_out/quickstart_store --socket /tmp/mn.sock &
     //   ./build/tools/mn_store ping /tmp/mn.sock
     //   ./build/tools/mn_store get /tmp/mn.sock <keyhex-from-dump>
     std::cout << "  (serve this store to a fleet: mn_store serve "

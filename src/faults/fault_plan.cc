@@ -63,6 +63,16 @@ LinkDir parse_dir(const std::string& s) {
   throw std::runtime_error("FaultPlan: unknown direction: " + s);
 }
 
+/// One event with no kind-specific payload.
+FaultEvent event(Duration at, FaultKind kind, PathId path, LinkDir dir = LinkDir::kBoth) {
+  FaultEvent ev;
+  ev.at = at;
+  ev.kind = kind;
+  ev.path = path;
+  ev.dir = dir;
+  return ev;
+}
+
 }  // namespace
 
 std::string FaultEvent::describe() const {
@@ -95,61 +105,56 @@ FaultPlan& FaultPlan::add(FaultEvent ev) {
 }
 
 FaultPlan& FaultPlan::blackhole(Duration at, PathId path, LinkDir dir) {
-  return add({.at = at, .kind = FaultKind::kBlackhole, .path = path, .dir = dir});
+  return add(event(at, FaultKind::kBlackhole, path, dir));
 }
 FaultPlan& FaultPlan::restore(Duration at, PathId path, LinkDir dir) {
-  return add({.at = at, .kind = FaultKind::kRestore, .path = path, .dir = dir});
+  return add(event(at, FaultKind::kRestore, path, dir));
 }
 FaultPlan& FaultPlan::soft_down(Duration at, PathId path) {
-  return add({.at = at, .kind = FaultKind::kSoftDown, .path = path});
+  return add(event(at, FaultKind::kSoftDown, path));
 }
 FaultPlan& FaultPlan::soft_up(Duration at, PathId path) {
-  return add({.at = at, .kind = FaultKind::kSoftUp, .path = path});
+  return add(event(at, FaultKind::kSoftUp, path));
 }
 FaultPlan& FaultPlan::unplug(Duration at, PathId path) {
-  return add({.at = at, .kind = FaultKind::kUnplug, .path = path});
+  return add(event(at, FaultKind::kUnplug, path));
 }
 FaultPlan& FaultPlan::replug(Duration at, PathId path) {
-  return add({.at = at, .kind = FaultKind::kReplug, .path = path});
+  return add(event(at, FaultKind::kReplug, path));
 }
 FaultPlan& FaultPlan::burst_loss(Duration at, PathId path, const GeLossSpec& ge,
                                  LinkDir dir) {
-  return add(
-      {.at = at, .kind = FaultKind::kBurstOn, .path = path, .dir = dir, .ge = ge});
+  FaultEvent ev = event(at, FaultKind::kBurstOn, path, dir);
+  ev.ge = ge;
+  return add(std::move(ev));
 }
 FaultPlan& FaultPlan::burst_loss_off(Duration at, PathId path, LinkDir dir) {
-  return add({.at = at, .kind = FaultKind::kBurstOff, .path = path, .dir = dir});
+  return add(event(at, FaultKind::kBurstOff, path, dir));
 }
 FaultPlan& FaultPlan::rate_crash(Duration at, PathId path, double mbps, LinkDir dir) {
-  return add({.at = at,
-              .kind = FaultKind::kRateCrash,
-              .path = path,
-              .dir = dir,
-              .rate_mbps = mbps});
+  FaultEvent ev = event(at, FaultKind::kRateCrash, path, dir);
+  ev.rate_mbps = mbps;
+  return add(std::move(ev));
 }
 FaultPlan& FaultPlan::rate_restore(Duration at, PathId path, LinkDir dir) {
-  return add({.at = at, .kind = FaultKind::kRateRestore, .path = path, .dir = dir});
+  return add(event(at, FaultKind::kRateRestore, path, dir));
 }
 FaultPlan& FaultPlan::delay_spike(Duration at, PathId path, Duration extra, LinkDir dir) {
-  return add({.at = at,
-              .kind = FaultKind::kDelaySpike,
-              .path = path,
-              .dir = dir,
-              .extra_delay = extra});
+  FaultEvent ev = event(at, FaultKind::kDelaySpike, path, dir);
+  ev.extra_delay = extra;
+  return add(std::move(ev));
 }
 FaultPlan& FaultPlan::delay_clear(Duration at, PathId path, LinkDir dir) {
-  return add({.at = at, .kind = FaultKind::kDelayClear, .path = path, .dir = dir});
+  return add(event(at, FaultKind::kDelayClear, path, dir));
 }
 FaultPlan& FaultPlan::middlebox_on(Duration at, PathId path, const MiddleboxSpec& spec,
                                    LinkDir dir) {
-  return add({.at = at,
-              .kind = FaultKind::kMiddleboxOn,
-              .path = path,
-              .dir = dir,
-              .middlebox = spec});
+  FaultEvent ev = event(at, FaultKind::kMiddleboxOn, path, dir);
+  ev.middlebox = spec;
+  return add(std::move(ev));
 }
 FaultPlan& FaultPlan::middlebox_off(Duration at, PathId path, LinkDir dir) {
-  return add({.at = at, .kind = FaultKind::kMiddleboxOff, .path = path, .dir = dir});
+  return add(event(at, FaultKind::kMiddleboxOff, path, dir));
 }
 
 std::string FaultPlan::serialize() const {

@@ -12,38 +12,34 @@
 #include <filesystem>
 #include <optional>
 #include <stdexcept>
-#include <unordered_map>
 #include <vector>
 
 #include "store/lockfile.hpp"
 #include "store/run_store.hpp"
-#include "store/segment.hpp"
-#include "store/segment_view.hpp"
 
 namespace mn::store::remote {
 namespace {
 
 namespace fs = std::filesystem;
 
-/// Where a live blob's bytes are: a mapped segment entry or an overlay
-/// string appended this session.
-struct IndexSlot {
-  std::uint32_t segment = 0;  // index into mapped_, or kOverlay
-  std::uint32_t entry = 0;    // index into that segment's scan entries
-  static constexpr std::uint32_t kOverlay = 0xFFFFFFFFu;
-};
+/// The writer role: exactly one server per directory.
+FileLock claim_serve_lock(const std::string& dir) {
+  FileLock lock = FileLock::try_exclusive(serve_lock_path(dir));
+  if (!lock.held()) {
+    throw std::runtime_error("store server: " + dir +
+                             " is already served by another mn_store serve process");
+  }
+  return lock;
+}
 
 }  // namespace
 
 struct StoreServer::Impl {
+  explicit Impl(const std::string& dir) : serve_lock(claim_serve_lock(dir)), store(dir) {}
+
   // ---- storage -------------------------------------------------------
-  FileLock serve_lock;   // exclusive: the one server of this directory
-  FileLock dir_lock;     // shared: the appender role
-  std::vector<MappedSegment> mapped;
-  std::unordered_map<ScenarioKey, IndexSlot, ScenarioKeyHash> index;
-  std::unordered_map<ScenarioKey, std::string, ScenarioKeyHash> overlay;
-  std::unique_ptr<SegmentWriter> writer;
-  std::string dir;
+  FileLock serve_lock;  // exclusive: the one server of this directory
+  RunStore store;       // holds store.lock shared: the appender role
 
   // ---- networking ----------------------------------------------------
   int listen_fd = -1;
@@ -60,10 +56,24 @@ struct StoreServer::Impl {
   };
   std::deque<Conn> conns;
 
-  // ---- counters (mutex: STATS is served from the poll thread but
-  // stats() may be called from any thread) -----------------------------
+  // ---- traffic counters (mutex: STATS is served from the poll thread
+  // but stats() may be called from any thread); entries, segments and
+  // bytes_appended are read from the store ----------------------------
   mutable std::mutex stats_mu;
   wire::WireStats counters;
+
+  [[nodiscard]] wire::WireStats snapshot() const {
+    wire::WireStats s;
+    {
+      std::lock_guard<std::mutex> lock(stats_mu);
+      s = counters;
+    }
+    const RunStore::Stats st = store.stats();
+    s.entries = st.entries;
+    s.segments = st.segments_loaded;
+    s.bytes_appended = st.bytes_written;
+    return s;
+  }
 
   ~Impl() {
     for (Conn& c : conns) {
@@ -72,60 +82,6 @@ struct StoreServer::Impl {
     if (listen_fd >= 0) ::close(listen_fd);
     if (wake_rd >= 0) ::close(wake_rd);
     if (wake_wr >= 0) ::close(wake_wr);
-  }
-
-  // ---- store operations ---------------------------------------------
-  void load() {
-    for (const std::string& path : list_segment_files(dir)) {
-      MappedSegment seg{path};
-      if (seg.scan().version_mismatch) continue;  // foreign format: refused
-      const auto seg_idx = static_cast<std::uint32_t>(mapped.size());
-      const auto& entries = seg.scan().entries;
-      for (std::uint32_t i = 0; i < entries.size(); ++i) {
-        index[entries[i].key] = IndexSlot{seg_idx, i};  // later supersedes
-      }
-      mapped.push_back(std::move(seg));
-    }
-    std::lock_guard<std::mutex> lock(stats_mu);
-    counters.segments = mapped.size();
-    counters.entries = live_entries();
-  }
-
-  [[nodiscard]] std::uint64_t live_entries() const {
-    // overlay keys may shadow mapped ones; the union is the live set.
-    std::uint64_t extra = 0;
-    for (const auto& [key, blob] : overlay) {
-      if (index.find(key) == index.end()) ++extra;
-    }
-    return index.size() + extra;
-  }
-
-  [[nodiscard]] std::optional<std::string_view> get(const ScenarioKey& key) {
-    if (const auto it = overlay.find(key); it != overlay.end()) return std::string_view{it->second};
-    if (const auto it = index.find(key); it != index.end()) {
-      const MappedSegment& seg = mapped[it->second.segment];
-      return seg.blob(seg.scan().entries[it->second.entry]);
-    }
-    return std::nullopt;
-  }
-
-  /// Durable append + overlay insert.  Returns false when the disk
-  /// write failed (the client gets a non-zero PUT status and treats the
-  /// write as dropped; the server keeps serving).
-  [[nodiscard]] bool put(const ScenarioKey& key, std::string blob) {
-    try {
-      if (!writer) writer = std::make_unique<SegmentWriter>(claim_next_segment(dir));
-      const std::uint64_t appended = writer->append(key, blob);
-      std::lock_guard<std::mutex> lock(stats_mu);
-      counters.bytes_appended += appended;
-    } catch (const std::exception&) {
-      return false;
-    }
-    overlay[key] = std::move(blob);
-    std::lock_guard<std::mutex> lock(stats_mu);
-    counters.entries = live_entries();
-    counters.segments = mapped.size() + 1;
-    return true;
   }
 
   // ---- request handling ---------------------------------------------
@@ -137,7 +93,7 @@ struct StoreServer::Impl {
                                   wire::encode_nonce_body(wire::decode_nonce_body(msg.body)));
       case Op::kGet: {
         const ScenarioKey key = wire::decode_key_body(msg.body);
-        const auto blob = get(key);
+        const auto blob = store.find(key);
         {
           std::lock_guard<std::mutex> lock(stats_mu);
           ++counters.gets;
@@ -151,7 +107,7 @@ struct StoreServer::Impl {
         blobs.reserve(keys.size());
         std::uint64_t hit = 0;
         for (const ScenarioKey& k : keys) {
-          blobs.push_back(get(k));
+          blobs.push_back(store.find(k));
           if (blobs.back()) ++hit;
         }
         {
@@ -163,18 +119,23 @@ struct StoreServer::Impl {
         return wire::encode_frame(Op::kMultiGetReply, wire::encode_blobs_reply(blobs));
       }
       case Op::kPut: {
-        auto [key, blob] = wire::decode_put_body(msg.body);
-        const bool ok = put(key, std::move(blob));
-        {
+        const auto [key, blob] = wire::decode_put_body(msg.body);
+        // A failed disk write answers status 1: the client treats the
+        // write as dropped, and the server keeps serving.
+        bool ok = true;
+        try {
+          store.put(key, blob);
+        } catch (const std::exception&) {
+          ok = false;
+        }
+        if (ok) {
           std::lock_guard<std::mutex> lock(stats_mu);
-          if (ok) ++counters.puts;
+          ++counters.puts;
         }
         return wire::encode_frame(Op::kPutReply, wire::encode_status_body(ok ? 0 : 1));
       }
-      case Op::kStats: {
-        std::lock_guard<std::mutex> lock(stats_mu);
-        return wire::encode_frame(Op::kStatsReply, wire::encode_stats_reply(counters));
-      }
+      case Op::kStats:
+        return wire::encode_frame(Op::kStatsReply, wire::encode_stats_reply(snapshot()));
       default:
         throw wire::WireError("request with reply-only op " +
                               std::to_string(static_cast<int>(msg.op)));
@@ -310,15 +271,7 @@ StoreServer::StoreServer(StoreServerOptions options) : options_(std::move(option
   fs::create_directories(options_.dir, ec);
   if (ec) throw std::runtime_error("store server: cannot create directory " + options_.dir);
 
-  impl_ = std::make_unique<Impl>();
-  impl_->dir = options_.dir;
-  impl_->serve_lock = FileLock::try_exclusive(serve_lock_path(options_.dir));
-  if (!impl_->serve_lock.held()) {
-    throw std::runtime_error("store server: " + options_.dir +
-                             " is already served by another mn_store serve process");
-  }
-  impl_->dir_lock = FileLock::shared(store_lock_path(options_.dir));
-  impl_->load();
+  impl_ = std::make_unique<Impl>(options_.dir);
 
   impl_->listen_fd = listen_endpoint(endpoint_);
   if (endpoint_.kind == Endpoint::Kind::kTcp && endpoint_.port == 0) {
@@ -355,10 +308,7 @@ void StoreServer::poll_once(int timeout_ms) { impl_->poll_once(timeout_ms); }
 
 std::uint16_t StoreServer::tcp_port() const { return endpoint_.port; }
 
-wire::WireStats StoreServer::stats() const {
-  std::lock_guard<std::mutex> lock(impl_->stats_mu);
-  return impl_->counters;
-}
+wire::WireStats StoreServer::stats() const { return impl_->snapshot(); }
 
 obs::MetricsSnapshot StoreServer::metrics_snapshot() const {
   const wire::WireStats s = stats();

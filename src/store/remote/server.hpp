@@ -7,17 +7,18 @@
 // Ownership and locking (lockfile.hpp):
 //   - `serve.lock` is held EXCLUSIVE: exactly one server per directory,
 //     a second `mn_store serve` fails fast instead of double-writing.
-//   - `store.lock` is held SHARED, the appender role: local RunStores
-//     may still read/append their own segments concurrently, and a
-//     compactor is excluded for as long as the server lives.
+//   - `store.lock` is held SHARED by the server's RunStore, the
+//     appender role: local RunStores may still read/append their own
+//     segments concurrently, and a compactor is excluded for as long as
+//     the server lives.
 //
-// Storage: existing segments are served from read-only mmap'd views
-// (segment_view.hpp) — blobs go from page cache to socket without a
-// heap copy, and a torn tail left by a crashed writer is tolerated by
-// the shared scan.  PUTs append through the ordinary SegmentWriter into
-// an O_EXCL-claimed segment (flush per record, the PR 5 crash
-// discipline) and live in a small overlay map that supersedes the
-// mapped views.
+// Storage: the server is a RunStore (run_store.hpp) behind its poll
+// loop — one engine, one supersede rule.  GETs are served from
+// RunStore::find(), views into the read-only mmap'd segments
+// (segment_view.hpp) or into this session's puts, so blobs go from page
+// cache to socket without a heap copy.  PUTs go through RunStore::put
+// (an O_EXCL-claimed segment, flush per record); STATS reads the
+// entry/segment/byte counts from RunStore::stats().
 //
 // Concurrency: a single poll(2) loop owns every connection — requests
 // are serialized by arrival, so the store needs no internal locking and

@@ -105,58 +105,81 @@ RunStore::~RunStore() {
 }
 
 void RunStore::load_locked() {
+  // Build aside, then commit: a segment that cannot be mapped throws
+  // before the current views are dropped.
+  std::vector<MappedSegment> segments;
+  std::unordered_map<ScenarioKey, std::string_view, ScenarioKeyHash> index;
+  std::uint64_t skipped = 0;
+  std::uint64_t torn = 0;
   for (const std::string& path : list_segment_files(dir_)) {
-    SegmentReadResult seg = read_segment(path);
-    if (seg.version_mismatch) {
-      ++stats_.segments_skipped;
+    MappedSegment seg{path};
+    if (seg.scan().version_mismatch) {
+      ++skipped;
       continue;
     }
-    ++stats_.segments_loaded;
-    stats_.torn_frames += seg.torn_frames;
-    for (SegmentEntry& e : seg.entries) {
-      map_[e.key] = std::move(e.blob);  // later frames supersede earlier
+    torn += seg.scan().torn_frames;
+    for (const ScanEntry& e : seg.scan().entries) {
+      index[e.key] = seg.blob(e);  // later segments / frames supersede earlier
     }
+    segments.push_back(std::move(seg));  // a move keeps the mapping in place
   }
-  stats_.entries = map_.size();
+  segments_ = std::move(segments);
+  index_ = std::move(index);
+  owned_.clear();
+  stats_.segments_loaded = segments_.size();
+  stats_.segments_skipped = skipped;
+  stats_.torn_frames += torn;
+  stats_.entries = index_.size();
 }
 
-void RunStore::open_writer_locked() {
-  writer_ = std::make_unique<SegmentWriter>(claim_next_segment(dir_));
+std::optional<std::string_view> RunStore::find_locked(const ScenarioKey& key) const {
+  const auto it = index_.find(key);
+  if (it == index_.end()) return std::nullopt;
+  return it->second;
+}
+
+std::optional<std::string_view> RunStore::find(const ScenarioKey& key) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return find_locked(key);
 }
 
 std::optional<std::string> RunStore::lookup(const ScenarioKey& key) {
   std::lock_guard<std::mutex> lock(mu_);
-  const auto it = map_.find(key);
-  if (it == map_.end()) {
+  const auto blob = find_locked(key);
+  if (!blob) {
     ++stats_.misses;
     return std::nullopt;
   }
   ++stats_.hits;
-  return it->second;
+  return std::string{*blob};
 }
 
 void RunStore::put(const ScenarioKey& key, std::string_view blob) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (!writer_) open_writer_locked();
+  if (!writer_) {
+    writer_ = std::make_unique<SegmentWriter>(claim_next_segment(dir_));
+    ++stats_.segments_loaded;
+  }
   stats_.bytes_written += writer_->append(key, blob);
   ++stats_.puts;
-  map_[key] = std::string{blob};
-  stats_.entries = map_.size();
+  // A superseded session blob stays in owned_: views of it may be live.
+  index_[key] = owned_.emplace_back(blob);
+  stats_.entries = index_.size();
 }
 
 bool RunStore::contains(const ScenarioKey& key) const {
   std::lock_guard<std::mutex> lock(mu_);
-  return map_.find(key) != map_.end();
+  return index_.find(key) != index_.end();
 }
 
 std::size_t RunStore::size() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return map_.size();
+  return index_.size();
 }
 
 std::vector<std::pair<ScenarioKey, std::string>> RunStore::sorted_entries() const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::pair<ScenarioKey, std::string>> out(map_.begin(), map_.end());
+  std::vector<std::pair<ScenarioKey, std::string>> out(index_.begin(), index_.end());
   std::sort(out.begin(), out.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
   return out;
@@ -189,23 +212,15 @@ void RunStore::compact() {
     throw;
   }
   try {
-    // Census from DISK, not from map_: another process may have appended
-    // records this handle never loaded, and every put of our own is
-    // already flushed to our segments — so the on-disk state is the
-    // complete live set.  Refused segments (foreign format versions)
-    // contribute nothing and are left on disk untouched.
-    const std::vector<std::string> old_files = list_segment_files(dir_);
-    std::vector<std::string> deletable;
-    std::unordered_map<ScenarioKey, std::string, ScenarioKeyHash> merged;
-    for (const std::string& path : old_files) {
-      SegmentReadResult seg = read_segment(path);
-      if (seg.version_mismatch) continue;
-      deletable.push_back(path);
-      stats_.torn_frames += seg.torn_frames;
-      for (SegmentEntry& e : seg.entries) merged[e.key] = std::move(e.blob);
-    }
+    // Census from DISK, not from the current index: another process may
+    // have appended records this handle never loaded, and every put of
+    // our own is already flushed to our segments — so the on-disk state
+    // is the complete live set.  Refused segments (foreign format
+    // versions) are not in segments_, contribute nothing and are left on
+    // disk untouched.
+    load_locked();
     // Deterministic compact: live entries in key order, one sealed segment.
-    std::vector<std::pair<ScenarioKey, std::string>> live(merged.begin(), merged.end());
+    std::vector<std::pair<ScenarioKey, std::string_view>> live(index_.begin(), index_.end());
     std::sort(live.begin(), live.end(),
               [](const auto& a, const auto& b) { return a.first < b.first; });
     {
@@ -213,12 +228,11 @@ void RunStore::compact() {
       for (const auto& [key, blob] : live) stats_.bytes_written += writer.append(key, blob);
       writer.seal();
     }
-    for (const std::string& path : deletable) {
+    for (const MappedSegment& seg : segments_) {
       std::error_code ec;
-      fs::remove(path, ec);  // best effort: a leftover is re-read, not fatal
+      fs::remove(seg.path(), ec);  // best effort: a leftover is re-read, not fatal
     }
-    map_ = std::move(merged);
-    stats_.entries = map_.size();
+    load_locked();  // the compacted segment, plus any refused ones
   } catch (...) {
     excl.release();
     dir_lock_ = FileLock::shared(store_lock_path(dir_));
@@ -244,39 +258,39 @@ obs::MetricsSnapshot RunStore::metrics_snapshot() const {
   reg.add(reg.counter("store.bytes_written"), static_cast<std::int64_t>(s.bytes_written));
   reg.add(reg.counter("store.torn_frames"), static_cast<std::int64_t>(s.torn_frames));
   reg.set(reg.gauge("store.entries"), static_cast<std::int64_t>(s.entries));
-  reg.set(reg.gauge("store.segments"),
-          static_cast<std::int64_t>(s.segments_loaded + (writer_ ? 1 : 0)));
+  reg.set(reg.gauge("store.segments"), static_cast<std::int64_t>(s.segments_loaded));
   return reg.snapshot();
 }
 
 VerifyReport verify_store(const std::string& dir) {
   VerifyReport report;
   for (const std::string& path : list_segment_files(dir)) {
-    const SegmentReadResult seg = read_segment(path);
+    const MappedSegment seg{path};
+    const SegmentScan& scan = seg.scan();
     ++report.segments;
     SegmentVerify sv;
     sv.file = fs::path(path).filename().string();
-    sv.records = seg.entries.size();
-    sv.torn_frames = seg.torn_frames;
-    sv.refused = seg.version_mismatch;
-    sv.sealed = seg.sealed;
-    sv.note = seg.note;
+    sv.records = scan.entries.size();
+    sv.torn_frames = scan.torn_frames;
+    sv.refused = scan.version_mismatch;
+    sv.sealed = scan.sealed;
+    sv.note = scan.note;
     report.per_segment.push_back(sv);
     std::string line = sv.file + ": ";
-    if (seg.version_mismatch) {
+    if (scan.version_mismatch) {
       ++report.version_mismatches;
-      line += "REFUSED (" + seg.note + ")";
+      line += "REFUSED (" + scan.note + ")";
     } else {
-      report.records += seg.entries.size();
-      report.torn_frames += seg.torn_frames;
-      report.truncated_bytes += seg.truncated_bytes;
-      if (seg.sealed) ++report.sealed_segments;
-      line += std::to_string(seg.entries.size()) + " record(s), " +
-              (seg.sealed ? "sealed" : "unsealed");
-      if (seg.torn_frames > 0) {
-        line += ", " + std::to_string(seg.torn_frames) + " torn frame(s)";
+      report.records += scan.entries.size();
+      report.torn_frames += scan.torn_frames;
+      report.truncated_bytes += scan.truncated_bytes;
+      if (scan.sealed) ++report.sealed_segments;
+      line += std::to_string(scan.entries.size()) + " record(s), " +
+              (scan.sealed ? "sealed" : "unsealed");
+      if (scan.torn_frames > 0) {
+        line += ", " + std::to_string(scan.torn_frames) + " torn frame(s)";
       }
-      if (!seg.note.empty()) line += " [" + seg.note + "]";
+      if (!scan.note.empty()) line += " [" + scan.note + "]";
     }
     report.text += line + "\n";
   }

@@ -3,11 +3,14 @@
 // and the chaos soak.
 //
 // A store is a directory of MNRS1 segment files (see segment.hpp).
-// Opening loads every readable record into an in-memory key -> blob
-// map (later segments / later frames supersede earlier ones); put()
-// appends to a fresh active segment with a flush per record, so a
-// killed campaign keeps everything it finished — re-running against
-// the same store resumes with only the missing runs executing.
+// Opening maps every readable segment read-only (segment_view.hpp) and
+// indexes its records as views into the mapping (later segments /
+// later frames supersede earlier ones); put() appends to a fresh active
+// segment with a flush per record and keeps the blob in an owned
+// string that supersedes the views, so a killed campaign keeps
+// everything it finished — re-running against the same store resumes
+// with only the missing runs executing.  The store server
+// (remote/server.hpp) is this same engine behind a poll loop.
 //
 // Corruption never escalates: a segment with an unknown magic/version
 // is refused wholesale, a torn final frame is truncated away, a frame
@@ -38,6 +41,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -50,22 +54,29 @@
 #include "store/key.hpp"
 #include "store/lockfile.hpp"
 #include "store/segment.hpp"
+#include "store/segment_view.hpp"
 #include "store/store.hpp"
 
 namespace mn::store {
 
 class RunStore : public Store {
  public:
-  /// Opens (creating the directory if needed) and loads every segment.
+  /// Opens (creating the directory if needed) and maps every segment.
   /// Throws std::runtime_error when the directory cannot be created or
-  /// a segment file cannot be opened at all (corrupt *content* is
-  /// tolerated and counted instead).
+  /// a segment file cannot be opened or mapped at all (corrupt
+  /// *content* is tolerated and counted instead).
   explicit RunStore(std::string dir);
   ~RunStore() override;
   RunStore(const RunStore&) = delete;
   RunStore& operator=(const RunStore&) = delete;
 
-  /// Cached blob for `key`, or nullopt.  Counts store.hits/store.misses.
+  /// The live blob for `key` as a view into a mapped segment or an
+  /// owned put, or nullopt.  Counts nothing.  The view stays valid
+  /// until compact() or destruction — later puts never move it.
+  [[nodiscard]] std::optional<std::string_view> find(const ScenarioKey& key) const;
+
+  /// Cached blob for `key` (a copy of find()), or nullopt.  Counts
+  /// store.hits/store.misses.
   [[nodiscard]] std::optional<std::string> lookup(const ScenarioKey& key) override;
 
   /// Insert/overwrite `key` and append it durably to the active
@@ -80,14 +91,15 @@ class RunStore : public Store {
   /// iteration order used by compact() and the CLI dump.
   [[nodiscard]] std::vector<std::pair<ScenarioKey, std::string>> sorted_entries() const;
 
-  /// Rewrite every live entry into one fresh sealed segment and delete
-  /// the old files: superseded duplicates and undecodable frames are
-  /// dropped, disk usage shrinks to the live set.  Requires exclusive
-  /// directory ownership — throws StoreBusyError (modifying nothing)
-  /// while any other process holds the store open.  The census is taken
-  /// from disk under the lock, so records appended by other processes
-  /// are preserved; refused segments (foreign format versions) are left
-  /// in place untouched.
+  /// Rewrite every live entry into one fresh sealed segment, delete the
+  /// old files and reload: superseded duplicates and undecodable frames
+  /// are dropped, disk usage shrinks to the live set.  Invalidates every
+  /// view find() handed out.  Requires exclusive directory ownership —
+  /// throws StoreBusyError (modifying nothing) while any other process
+  /// holds the store open.  The census is taken from disk under the
+  /// lock, so records appended by other processes are preserved;
+  /// refused segments (foreign format versions) are left in place
+  /// untouched.
   void compact();
 
   /// Seal the active segment (if any): subsequent puts open a new one.
@@ -101,8 +113,10 @@ class RunStore : public Store {
     std::uint64_t puts = 0;
     std::uint64_t bytes_written = 0;   // appended this session (incl. framing)
     std::uint64_t torn_frames = 0;     // unusable frames seen at open/compact
-    std::uint64_t entries = 0;         // live records in memory
-    std::uint64_t segments_loaded = 0; // readable segments at open
+    std::uint64_t entries = 0;         // live records
+    std::uint64_t segments_loaded = 0; // readable segments: mapped at open
+                                       // or compact, plus each one opened
+                                       // for appending
     std::uint64_t segments_skipped = 0;  // refused: wrong magic/version
   };
   [[nodiscard]] Stats stats() const;
@@ -113,13 +127,16 @@ class RunStore : public Store {
   [[nodiscard]] obs::MetricsSnapshot metrics_snapshot() const;
 
  private:
+  [[nodiscard]] std::optional<std::string_view> find_locked(const ScenarioKey& key) const;
   void load_locked();
-  void open_writer_locked();
 
   mutable std::mutex mu_;
   std::string dir_;
   FileLock dir_lock_;  // shared hold on store.lock for our lifetime
-  std::unordered_map<ScenarioKey, std::string, ScenarioKeyHash> map_;
+  std::vector<MappedSegment> segments_;  // readable segments, load order
+  std::deque<std::string> owned_;  // this session's put blobs (stable addresses)
+  // key -> live blob, a view into segments_ or owned_
+  std::unordered_map<ScenarioKey, std::string_view, ScenarioKeyHash> index_;
   std::unique_ptr<SegmentWriter> writer_;
   Stats stats_;
 };

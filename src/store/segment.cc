@@ -1,7 +1,5 @@
 #include "store/segment.hpp"
 
-#include <fstream>
-#include <sstream>
 #include <stdexcept>
 
 #include "store/codec.hpp"
@@ -13,14 +11,6 @@ namespace {
 constexpr std::size_t kHeaderBytes = 6 + 4;       // magic + version
 constexpr std::size_t kFooterBytes = 8 + 4 + 8;   // index offset + crc + magic
 constexpr std::size_t kRecordKeyBytes = 16;
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("store segment: cannot open " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
-}
 
 std::uint32_t le_u32(std::string_view bytes, std::size_t at) {
   std::uint32_t v = 0;
@@ -154,26 +144,6 @@ SegmentScan scan_segment(std::string_view data) {
       ++res.torn_frames;
       res.note += "footer present but index frame unreadable; ";
     }
-  }
-  return res;
-}
-
-SegmentReadResult read_segment(const std::string& path) {
-  const std::string data = read_file(path);
-  const SegmentScan scan = scan_segment(data);
-  SegmentReadResult res;
-  res.sealed = scan.sealed;
-  res.version_mismatch = scan.version_mismatch;
-  res.torn_frames = scan.torn_frames;
-  res.truncated_bytes = scan.truncated_bytes;
-  res.note = scan.note;
-  res.entries.reserve(scan.entries.size());
-  for (const ScanEntry& e : scan.entries) {
-    SegmentEntry out;
-    out.key = e.key;
-    out.offset = e.offset;
-    out.blob.assign(data, e.blob_offset, e.blob_len);
-    res.entries.push_back(std::move(out));
   }
   return res;
 }

@@ -48,15 +48,10 @@ inline constexpr std::uint32_t kMaxFramePayload = 64u << 20;
 
 enum class FrameType : std::uint8_t { kRecord = 1, kIndex = 2 };
 
-struct SegmentEntry {
-  ScenarioKey key;
-  std::string blob;
-  std::uint64_t offset = 0;  // frame offset in the file (diagnostics)
-};
-
 /// One decodable record located (not copied) by scan_segment: the blob
 /// is a [blob_offset, blob_offset + blob_len) slice of the scanned
-/// buffer.  The basis of the zero-copy mmap views (segment_view.hpp).
+/// buffer.  The basis of the zero-copy mmap views (segment_view.hpp),
+/// the only way the store reads a segment file.
 struct ScanEntry {
   ScenarioKey key;
   std::uint64_t offset = 0;       // frame offset in the buffer
@@ -66,36 +61,22 @@ struct ScanEntry {
 
 struct SegmentScan {
   std::vector<ScanEntry> entries;  // decodable records, buffer order
-  bool sealed = false;
-  bool version_mismatch = false;
-  std::uint64_t torn_frames = 0;
-  std::uint64_t truncated_bytes = 0;
-  std::string note;
-};
-
-/// Scan one segment *buffer* (a whole file read into memory, or an
-/// mmap'd view of it) with full corruption tolerance: torn tails
-/// truncate, bad-CRC frames skip, foreign magics refuse — identical
-/// semantics to read_segment, which is now a thin copying wrapper.
-/// An empty buffer is a *claimed-but-never-written* segment (a writer
-/// died between O_EXCL claim and header write): zero records, not
-/// damage, not a refusal.
-[[nodiscard]] SegmentScan scan_segment(std::string_view data);
-
-struct SegmentReadResult {
-  std::vector<SegmentEntry> entries;  // decodable records, file order
-  bool sealed = false;                // valid footer index present
-  bool version_mismatch = false;      // bad magic / unknown version: refused
-  std::uint64_t torn_frames = 0;      // frames dropped (bad CRC, torn tail,
-                                      // bad type, index mismatch)
+  bool sealed = false;             // valid footer index present
+  bool version_mismatch = false;   // bad magic / unknown version: refused
+  std::uint64_t torn_frames = 0;   // frames dropped (bad CRC, torn tail,
+                                   // bad type, index mismatch)
   std::uint64_t truncated_bytes = 0;  // bytes past the last readable frame
   std::string note;                   // human-readable diagnostics
 };
 
-/// Read every recoverable record of one segment file.  Never throws on
-/// corrupt *content* (that is what the result struct reports); throws
-/// std::runtime_error only when the file cannot be opened at all.
-[[nodiscard]] SegmentReadResult read_segment(const std::string& path);
+/// Scan one segment *buffer* (an mmap'd view of the file, or in tests
+/// the whole file read into memory) with full corruption tolerance:
+/// torn tails truncate, bad-CRC frames skip, foreign magics refuse.
+/// Never throws on corrupt content — that is what the result reports.
+/// An empty buffer is a *claimed-but-never-written* segment (a writer
+/// died between O_EXCL claim and header write): zero records, not
+/// damage, not a refusal.
+[[nodiscard]] SegmentScan scan_segment(std::string_view data);
 
 /// Appending writer.  Creates the file with a fresh header; append()
 /// flushes each frame so a crash loses at most the in-flight record.

@@ -1,18 +1,21 @@
 // Read-only mmap'd views of MNRS1 segment files.
 //
-// The store server keeps every segment of its directory mapped instead
-// of copied: blobs are served straight out of the page cache as
-// string_views into the mapping, so a multi-GB store costs address
-// space, not heap.  The view is a snapshot of the file length at map
-// time — an appender growing the file afterwards is invisible, and a
-// writer that died mid-frame shows up as the usual torn tail.  Both are
-// exactly the tolerance scan_segment already implements: a MappedSegment
-// is scan_segment over mapped bytes.
+// The one way the store reads a segment: RunStore (and so the store
+// server, which serves a RunStore), compact() and verify_store() all
+// map segments instead of copying them.  Blobs are handed out as
+// string_views into the mapping, straight out of the page cache, so a
+// multi-GB store costs address space, not heap.  The view is a snapshot
+// of the file length at map time — an appender growing the file
+// afterwards is invisible, and a writer that died mid-frame shows up as
+// the usual torn tail.  Both are exactly the tolerance scan_segment
+// already implements: a MappedSegment is scan_segment over mapped bytes.
 //
-// Safety: the mapping must outlive every view handed out (the server
-// owns its MappedSegments for the whole serving session; compaction is
-// excluded by the shared flock, so the mapped files are never deleted
-// under us).
+// Safety: the mapping must outlive every view handed out (a RunStore
+// owns its MappedSegments until compact() or destruction).  The store
+// only ever appends to a segment it claimed and removes files by
+// unlink, never truncating or rewriting one in place: a truncated
+// mapping would fault on access.  Compaction by another handle is
+// excluded by the shared flock, and an unlinked file stays mapped.
 #pragma once
 
 #include <cstddef>

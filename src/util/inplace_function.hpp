@@ -142,6 +142,9 @@ class InplaceFunction<R(Args...), Capacity> {
   template <class F, class D = std::decay_t<F>>
   void construct(F&& f) {
     if constexpr (fits_inline<D>) {
+      // A captureless callable writes no byte of storage_; give the
+      // trivial memcpy relocation in take() one defined byte to copy.
+      if constexpr (std::is_empty_v<D>) storage_[0] = std::byte{0};
       ::new (static_cast<void*>(storage_)) D(std::forward<F>(f));
       vtable_ = &kInlineOps<D>;
     } else {

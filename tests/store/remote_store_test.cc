@@ -8,6 +8,7 @@
 #include <unistd.h>
 
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <optional>
 #include <string>
@@ -18,6 +19,7 @@
 #include "store/remote/server.hpp"
 #include "store/remote/socket.hpp"
 #include "store/run_store.hpp"
+#include "store/segment.hpp"
 
 namespace mn::store::remote {
 namespace {
@@ -128,6 +130,64 @@ TEST_F(RemoteStoreTest, ServerLoadsExistingSegmentsAndServesThem) {
   auto client = make_client();
   EXPECT_EQ(client.lookup(key_of(9, 9)), "written locally before the server started");
   EXPECT_EQ(server_->stats().entries, 1u);
+}
+
+TEST_F(RemoteStoreTest, ServerAndRunStoreAgreeOnEveryKeyAndCount) {
+  // One directory holding every supersede and damage case the shared
+  // engine resolves: a key superseded across two segments, a torn tail,
+  // a refused future-format segment, then repeated PUTs in the session.
+  {
+    RunStore first{store_dir()};
+    first.put(key_of(1, 1), "a-old");
+    first.put(key_of(2, 2), "b");
+  }
+  {
+    RunStore second{store_dir()};
+    second.put(key_of(1, 1), "a-new");
+  }
+  {
+    // A writer that died mid-append: record (4,4) is torn away.
+    const std::string torn = claim_next_segment(store_dir());
+    std::uint64_t keep = kSegmentMagic.size() + 4;
+    {
+      SegmentWriter w{torn};
+      keep += w.append(key_of(3, 3), "c");
+      w.append(key_of(4, 4), "d-torn");
+    }
+    fs::resize_file(torn, keep + 5);
+  }
+  std::ofstream{base_ / "store" / "seg-000050.mnrs", std::ios::binary}
+      << "MNRS9\nrecords from a future format";
+
+  start_server();
+  auto client = make_client();
+  for (int i = 0; i < 3; ++i) client.put(key_of(5, 5), "e-" + std::to_string(i));
+  client.put(key_of(2, 2), "b-session");
+
+  RunStore local{store_dir()};  // shared lock: coexists with the server
+  EXPECT_EQ(local.lookup(key_of(1, 1)), "a-new");
+  EXPECT_EQ(local.lookup(key_of(2, 2)), "b-session");
+  EXPECT_EQ(local.lookup(key_of(5, 5)), "e-2");
+  EXPECT_FALSE(local.lookup(key_of(4, 4)).has_value());
+  EXPECT_EQ(local.stats().segments_skipped, 1u);
+  EXPECT_GE(local.stats().torn_frames, 1u);
+
+  std::vector<ScenarioKey> keys;
+  for (std::uint64_t k = 1; k <= 6; ++k) keys.push_back(key_of(k, k));
+  const auto many = client.lookup_many(keys);
+  ASSERT_EQ(many.size(), keys.size());
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    const auto expected = local.lookup(keys[i]);
+    EXPECT_EQ(client.lookup(keys[i]), expected) << keys[i].hex();
+    EXPECT_EQ(many[i], expected) << keys[i].hex();
+  }
+
+  const auto remote_stats = client.server_stats();
+  ASSERT_TRUE(remote_stats.has_value());
+  EXPECT_EQ(remote_stats->entries, local.stats().entries);
+  EXPECT_EQ(remote_stats->segments, local.stats().segments_loaded);
+  EXPECT_EQ(remote_stats->entries, 4u);
+  EXPECT_EQ(remote_stats->segments, 4u);  // three on disk + the session's
 }
 
 TEST_F(RemoteStoreTest, DeadEndpointDegradesToMissesNeverThrows) {

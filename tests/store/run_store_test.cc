@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <filesystem>
 #include <fstream>
 #include <thread>
@@ -181,6 +182,54 @@ TEST_F(RunStoreTest, ConcurrentPutsAndLookupsAreSafe) {
   EXPECT_EQ(store.size(), 200u);
   store.seal_active();
   EXPECT_TRUE(verify_store(dir()).ok());
+}
+
+// Named "Concurrent" so the TSan CI job picks it up: the store.segments
+// gauge must be read under the store's lock, not after it, while the
+// first put opens the active segment.
+TEST_F(RunStoreTest, ConcurrentPutsAndMetricsSnapshot) {
+  RunStore store{dir()};
+  std::atomic<bool> done{false};
+  std::thread reader([&store, &done] {
+    while (!done.load()) {
+      EXPECT_LE(store.metrics_snapshot().value_of("store.segments"), 1);
+    }
+  });
+  std::vector<std::thread> writers;
+  writers.reserve(2);
+  for (int w = 0; w < 2; ++w) {
+    writers.emplace_back([&store, w] {
+      for (std::uint64_t i = 0; i < 50; ++i) {
+        store.put(ScenarioKey{static_cast<std::uint64_t>(w), i}, "blob");
+      }
+    });
+  }
+  for (auto& t : writers) t.join();
+  done = true;
+  reader.join();
+  const auto snap = store.metrics_snapshot();
+  EXPECT_EQ(snap.value_of("store.segments"), 1);
+  EXPECT_EQ(snap.value_of("store.entries"), 100);
+}
+
+TEST_F(RunStoreTest, FindViewsSurviveLaterPuts) {
+  {
+    RunStore store{dir()};
+    store.put({1, 1}, "on disk");
+  }
+  RunStore store{dir()};
+  const auto mapped = store.find({1, 1});
+  ASSERT_TRUE(mapped.has_value());
+  store.put({2, 2}, "short");
+  const auto owned = store.find({2, 2});
+  ASSERT_TRUE(owned.has_value());
+  for (std::uint64_t i = 0; i < 100; ++i) store.put({3, i}, std::string(i, 'x'));
+  store.put({2, 2}, "superseded view stays readable");
+  EXPECT_EQ(*mapped, "on disk");
+  EXPECT_EQ(*owned, "short");
+  EXPECT_EQ(store.find({2, 2}).value(), "superseded view stays readable");
+  EXPECT_FALSE(store.find({9, 9}).has_value());
+  EXPECT_EQ(store.stats().hits + store.stats().misses, 0u);  // find counts nothing
 }
 
 TEST_F(RunStoreTest, SortedEntriesAreKeyOrdered) {

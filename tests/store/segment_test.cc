@@ -1,7 +1,8 @@
 // MNRS1 corruption suite: every way a segment file can be damaged must
 // degrade into skipped frames or a refused file — decodable records
 // always survive, and nothing is ever undefined behaviour (this suite
-// runs under ASan/UBSan in CI).
+// runs under ASan/UBSan in CI).  Files are scanned with scan_segment
+// over their whole bytes, the scan every store reader runs.
 #include "store/segment.hpp"
 
 #include <gtest/gtest.h>
@@ -41,6 +42,21 @@ class SegmentTest : public ::testing::Test {
     out << bytes;
   }
 
+  /// A whole segment file and its scan; blob(i) copies record i out.
+  struct Scanned {
+    std::string bytes;
+    SegmentScan scan;
+    [[nodiscard]] std::string blob(std::size_t i) const {
+      const ScanEntry& e = scan.entries.at(i);
+      return bytes.substr(e.blob_offset, e.blob_len);
+    }
+  };
+  static Scanned scan_file(const std::string& p) {
+    Scanned s{slurp(p), {}};
+    s.scan = scan_segment(s.bytes);
+    return s;
+  }
+
   /// A sealed three-record segment; returns the record keys.
   std::vector<ScenarioKey> write_sample(const std::string& p) {
     std::vector<ScenarioKey> keys{{1, 10}, {2, 20}, {3, 30}};
@@ -57,15 +73,15 @@ class SegmentTest : public ::testing::Test {
 
 TEST_F(SegmentTest, RoundTripSealed) {
   const auto keys = write_sample(path("a.mnrs"));
-  const SegmentReadResult r = read_segment(path("a.mnrs"));
-  EXPECT_TRUE(r.sealed);
-  EXPECT_FALSE(r.version_mismatch);
-  EXPECT_EQ(r.torn_frames, 0u);
-  ASSERT_EQ(r.entries.size(), 3u);
-  EXPECT_EQ(r.entries[0].key, keys[0]);
-  EXPECT_EQ(r.entries[0].blob, "alpha");
-  EXPECT_EQ(r.entries[1].blob, "bravo-bravo");
-  EXPECT_EQ(r.entries[2].blob, "charlie");
+  const Scanned r = scan_file(path("a.mnrs"));
+  EXPECT_TRUE(r.scan.sealed);
+  EXPECT_FALSE(r.scan.version_mismatch);
+  EXPECT_EQ(r.scan.torn_frames, 0u);
+  ASSERT_EQ(r.scan.entries.size(), 3u);
+  EXPECT_EQ(r.scan.entries[0].key, keys[0]);
+  EXPECT_EQ(r.blob(0), "alpha");
+  EXPECT_EQ(r.blob(1), "bravo-bravo");
+  EXPECT_EQ(r.blob(2), "charlie");
 }
 
 TEST_F(SegmentTest, UnsealedActiveSegmentReadsEveryRecord) {
@@ -74,10 +90,10 @@ TEST_F(SegmentTest, UnsealedActiveSegmentReadsEveryRecord) {
   std::string bytes = slurp(path("a.mnrs"));
   bytes.resize(bytes.size() - 20);  // footer only; index frame remains as data
   spit(path("a.mnrs"), bytes);
-  const SegmentReadResult r = read_segment(path("a.mnrs"));
-  EXPECT_FALSE(r.sealed);
-  EXPECT_EQ(r.torn_frames, 0u);
-  EXPECT_EQ(r.entries.size(), 3u);  // stray index frame carries no records
+  const Scanned r = scan_file(path("a.mnrs"));
+  EXPECT_FALSE(r.scan.sealed);
+  EXPECT_EQ(r.scan.torn_frames, 0u);
+  EXPECT_EQ(r.scan.entries.size(), 3u);  // stray index frame carries no records
 }
 
 TEST_F(SegmentTest, TornFinalFrameIsTruncatedAway) {
@@ -93,11 +109,11 @@ TEST_F(SegmentTest, TornFinalFrameIsTruncatedAway) {
   bytes.resize(bytes.size() - 20);        // drop footer (active segment)
   bytes.resize(bytes.size() - 3);         // tear into the index frame
   spit(path("a.mnrs"), bytes);
-  const SegmentReadResult r = read_segment(path("a.mnrs"));
-  EXPECT_FALSE(r.sealed);
-  EXPECT_EQ(r.entries.size(), 2u);
-  EXPECT_GE(r.torn_frames, 1u);
-  EXPECT_GT(r.truncated_bytes, 0u);
+  const Scanned r = scan_file(path("a.mnrs"));
+  EXPECT_FALSE(r.scan.sealed);
+  EXPECT_EQ(r.scan.entries.size(), 2u);
+  EXPECT_GE(r.scan.torn_frames, 1u);
+  EXPECT_GT(r.scan.truncated_bytes, 0u);
 }
 
 TEST_F(SegmentTest, FlippedCrcByteSkipsExactlyThatFrame) {
@@ -109,12 +125,12 @@ TEST_F(SegmentTest, FlippedCrcByteSkipsExactlyThatFrame) {
   const std::size_t victim = frame1 + 9 + 16 + 2;
   bytes[victim] = static_cast<char>(bytes[victim] ^ 0x40);
   spit(path("a.mnrs"), bytes);
-  const SegmentReadResult r = read_segment(path("a.mnrs"));
-  EXPECT_FALSE(r.sealed);  // census mismatch: 3 indexed, 2 readable
-  ASSERT_EQ(r.entries.size(), 2u);
-  EXPECT_EQ(r.entries[0].blob, "alpha");
-  EXPECT_EQ(r.entries[1].blob, "charlie");  // resynchronized past the bad frame
-  EXPECT_GE(r.torn_frames, 1u);
+  const Scanned r = scan_file(path("a.mnrs"));
+  EXPECT_FALSE(r.scan.sealed);  // census mismatch: 3 indexed, 2 readable
+  ASSERT_EQ(r.scan.entries.size(), 2u);
+  EXPECT_EQ(r.blob(0), "alpha");
+  EXPECT_EQ(r.blob(1), "charlie");  // resynchronized past the bad frame
+  EXPECT_GE(r.scan.torn_frames, 1u);
 }
 
 TEST_F(SegmentTest, ImplausibleLengthTruncatesTheRest) {
@@ -124,10 +140,10 @@ TEST_F(SegmentTest, ImplausibleLengthTruncatesTheRest) {
   const std::size_t frame1 = 10 + 9 + 16 + 5;
   bytes[frame1 + 3] = static_cast<char>(0xFF);  // len explodes past the file
   spit(path("a.mnrs"), bytes);
-  const SegmentReadResult r = read_segment(path("a.mnrs"));
-  ASSERT_EQ(r.entries.size(), 1u);
-  EXPECT_EQ(r.entries[0].blob, "alpha");
-  EXPECT_GE(r.torn_frames, 1u);
+  const Scanned r = scan_file(path("a.mnrs"));
+  ASSERT_EQ(r.scan.entries.size(), 1u);
+  EXPECT_EQ(r.blob(0), "alpha");
+  EXPECT_GE(r.scan.torn_frames, 1u);
 }
 
 TEST_F(SegmentTest, WrongMagicAndWrongVersionAreRefused) {
@@ -136,23 +152,23 @@ TEST_F(SegmentTest, WrongMagicAndWrongVersionAreRefused) {
   std::string wrong_magic = bytes;
   wrong_magic[0] = 'X';
   spit(path("m.mnrs"), wrong_magic);
-  EXPECT_TRUE(read_segment(path("m.mnrs")).version_mismatch);
+  EXPECT_TRUE(scan_file(path("m.mnrs")).scan.version_mismatch);
 
   std::string wrong_version = bytes;
   wrong_version[6] = 9;  // version little-endian low byte
   spit(path("v.mnrs"), wrong_version);
-  const auto r = read_segment(path("v.mnrs"));
-  EXPECT_TRUE(r.version_mismatch);
-  EXPECT_TRUE(r.entries.empty());  // refused wholesale, never half-read
+  const Scanned r = scan_file(path("v.mnrs"));
+  EXPECT_TRUE(r.scan.version_mismatch);
+  EXPECT_TRUE(r.scan.entries.empty());  // refused wholesale, never half-read
 
   // An empty file is NOT a refusal: it is a segment another process
   // claimed (O_EXCL) and never wrote — the crash window between claim
   // and header.  Tolerated as zero records so verify stays green.
   spit(path("e.mnrs"), "");
-  const auto empty = read_segment(path("e.mnrs"));
-  EXPECT_FALSE(empty.version_mismatch);
-  EXPECT_EQ(empty.torn_frames, 0u);
-  EXPECT_TRUE(empty.entries.empty());
+  const Scanned empty = scan_file(path("e.mnrs"));
+  EXPECT_FALSE(empty.scan.version_mismatch);
+  EXPECT_EQ(empty.scan.torn_frames, 0u);
+  EXPECT_TRUE(empty.scan.entries.empty());
 }
 
 TEST_F(SegmentTest, EveryPrefixTruncationIsHandledCleanly) {
@@ -162,8 +178,8 @@ TEST_F(SegmentTest, EveryPrefixTruncationIsHandledCleanly) {
   const std::string bytes = slurp(path("a.mnrs"));
   for (std::size_t n = 0; n < bytes.size(); ++n) {
     spit(path("t.mnrs"), bytes.substr(0, n));
-    const SegmentReadResult r = read_segment(path("t.mnrs"));
-    EXPECT_LE(r.entries.size(), 3u) << "at prefix " << n;
+    const Scanned r = scan_file(path("t.mnrs"));
+    EXPECT_LE(r.scan.entries.size(), 3u) << "at prefix " << n;
   }
 }
 

@@ -1,10 +1,12 @@
-// MappedSegment: the server's mmap'd read-only view must agree with the
-// heap reader (read_segment) on every segment state — sealed, unsealed,
-// torn, refused, and the claimed-but-never-written empty file.
+// MappedSegment: the store's mmap'd read-only view must agree with a
+// plain read of the whole file through scan_segment on every segment
+// state — sealed, unsealed, torn, refused, and the claimed-but-never-
+// written empty file.
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
 
 #include "store/segment.hpp"
@@ -47,17 +49,24 @@ class SegmentViewTest : public ::testing::Test {
     return unsealed_size;
   }
 
-  /// The mapped view and the heap reader must report identical content.
+  /// The mapped view and a heap read of the file must report identical
+  /// content.
   void expect_view_matches_reader() {
-    const SegmentReadResult heap = read_segment(path());
+    std::ifstream in(path(), std::ios::binary);
+    ASSERT_TRUE(in);
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    const std::string bytes = buf.str();
+    const SegmentScan heap = scan_segment(bytes);
     const MappedSegment view{path()};
     EXPECT_EQ(view.scan().sealed, heap.sealed);
     EXPECT_EQ(view.scan().version_mismatch, heap.version_mismatch);
     EXPECT_EQ(view.scan().torn_frames, heap.torn_frames);
     ASSERT_EQ(view.scan().entries.size(), heap.entries.size());
     for (std::size_t i = 0; i < heap.entries.size(); ++i) {
-      EXPECT_EQ(view.scan().entries[i].key, heap.entries[i].key);
-      EXPECT_EQ(view.blob(view.scan().entries[i]), heap.entries[i].blob);
+      const ScanEntry& e = heap.entries[i];
+      EXPECT_EQ(view.scan().entries[i].key, e.key);
+      EXPECT_EQ(view.blob(view.scan().entries[i]), bytes.substr(e.blob_offset, e.blob_len));
     }
   }
 
