@@ -153,6 +153,41 @@ TEST(LteSector, FadingIsDeterministicAndBounded) {
   }
 }
 
+/// Never drains; logs the tag of every grant it receives, in commit
+/// (= plan) order.
+struct GrantLog final : GrantSink {
+  std::vector<std::uint32_t> tags;
+  std::int64_t on_grant(std::uint32_t tag, std::int64_t offered) override {
+    tags.push_back(tag);
+    return offered;
+  }
+};
+
+TEST(LteSectorTest, TopKKeepsSwapOrderOnTies) {
+  // No fading and a fresh EWMA: five 10 Mbit/s stations tie exactly on
+  // the PF metric, and the one 20 Mbit/s station sits fifth of six in
+  // the ring.  Top-3 selection swaps the winner into position 0, which
+  // moves station 0 back to the winner's old place; the ties then go to
+  // the first index left, stations 1 and 2.  Stable top-k would plan
+  // {4, 0, 1} instead.
+  Simulator sim;
+  CellConfig c = cfg("l");
+  c.grants_per_tick = 3;
+  LteSector::Options opt;
+  opt.fading_depth = 0.0;
+  LteSector cell(sim, c, opt);
+  GrantLog log;
+  std::vector<StationId> ids;
+  for (std::uint32_t i = 0; i < 6; ++i) ids.push_back(cell.attach(&log, i, i == 4 ? 20.0 : 10.0));
+  // The wake tick (5 ms) plans; the 10 ms tick commits that plan after
+  // planning the next one on the same, still untouched, EWMA state.
+  sim.run_until(TimePoint{} + msec(10));
+  EXPECT_EQ(log.tags, (std::vector<std::uint32_t>{4, 1, 2}));
+  sim.run_until(TimePoint{} + msec(15));
+  EXPECT_EQ(log.tags, (std::vector<std::uint32_t>{4, 1, 2, 4, 1, 2}));
+  for (const StationId id : ids) cell.detach(id);
+}
+
 TEST(Backhaul, SharedBottleneckCapsBothCells) {
   Simulator sim;
   Backhaul bh(/*rate_mbps=*/8.0, /*burst=*/msec(20));
