@@ -17,7 +17,7 @@
 //                   bounded by clusters x sketch size, not user count
 //
 // Knobs: MN_WORLD_USERS (exact user count; beats scaling) or
-// MN_RUN_SCALE (users = 100000 x scale), MN_THREADS (cluster shards).
+// MN_RUN_SCALE (users = 100000 x scale), MN_THREADS (venue shards).
 #include <chrono>
 #include <cstdint>
 #include <iostream>

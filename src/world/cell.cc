@@ -1,7 +1,11 @@
 #include "world/cell.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <map>
+#include <memory>
+#include <mutex>
 
 #include "obs/obs.hpp"
 
@@ -16,6 +20,28 @@ std::uint64_t mix64(std::uint64_t x) {
   x *= 0x94d049bb133111ebull;
   x ^= x >> 31;
   return x;
+}
+
+/// (1 - 1/T)^i for i in [0, 1024), built by repeated multiplication once
+/// per distinct decay factor and shared by every sector that uses it, on
+/// any thread.  Tables are never freed, so the spans stay valid.
+std::span<const double> decay_table(double ewma_ticks) {
+  using Table = std::array<double, 1024>;
+  static std::mutex mu;
+  static std::map<double, std::unique_ptr<const Table>> tables;
+  const double d = 1.0 - 1.0 / std::max(1.0, ewma_ticks);
+  const std::lock_guard lock(mu);
+  std::unique_ptr<const Table>& table = tables[d];
+  if (table == nullptr) {
+    auto t = std::make_unique<Table>();
+    double acc = 1.0;
+    for (double& v : *t) {
+      v = acc;
+      acc *= d;
+    }
+    table = std::move(t);
+  }
+  return *table;
 }
 }  // namespace
 
@@ -194,15 +220,9 @@ int WifiCell::select_grants(std::int64_t /*tick_index*/, Grant* plan) {
 }
 
 LteSector::LteSector(Simulator& sim, CellConfig cfg, Options opt)
-    : CellBase(sim, std::move(cfg)), opt_(opt) {
+    : CellBase(sim, std::move(cfg)), opt_(opt), decay_(decay_table(opt_.ewma_ticks)) {
   snaps_.resize(static_cast<std::size_t>(std::max(1, opt_.pf_window)));
-  decay_table_.resize(1024);
-  const double d = 1.0 - 1.0 / std::max(1.0, opt_.ewma_ticks);
-  double acc = 1.0;
-  for (auto& v : decay_table_) {
-    v = acc;
-    acc *= d;
-  }
+  metrics_.resize(snaps_.size());
 }
 
 double LteSector::fading(std::uint32_t tag, std::int64_t tick_index) const {
@@ -216,50 +236,53 @@ double LteSector::fading(std::uint32_t tag, std::int64_t tick_index) const {
 double LteSector::decay_pow(std::int64_t ticks) const {
   if (ticks <= 0) return 1.0;
   const auto i = static_cast<std::size_t>(
-      std::min<std::int64_t>(ticks, static_cast<std::int64_t>(decay_table_.size()) - 1));
-  return decay_table_[i];
+      std::min<std::int64_t>(ticks, static_cast<std::int64_t>(decay_.size()) - 1));
+  return decay_[i];
 }
 
 int LteSector::select_grants(std::int64_t tick_index, Grant* plan) {
   const int n = active_;
   const int window = std::min(opt_.pf_window, n);
   const int k = std::min(cfg_.grants_per_tick, window);
+  const auto pf_metric = [](const UeSnapshot& s) {
+    return static_cast<double>(s.inst_mbps) / std::max(0.05, static_cast<double>(s.avg_mbps));
+  };
   // Snapshot the candidate window (rotating: take_cursor advances the
   // ring, so successive ticks consider successive windows and no UE
-  // starves behind a fixed prefix).
+  // starves behind a fixed prefix) and rank each candidate once.
   for (int j = 0; j < window; ++j) {
     const std::uint32_t slot = take_cursor();
     const Station& st = stations_[slot];
-    snaps_[static_cast<std::size_t>(j)] = UeSnapshot{
+    const auto u = static_cast<std::size_t>(j);
+    snaps_[u] = UeSnapshot{
         slot,
         static_cast<float>(static_cast<double>(st.phy_mbps) * fading(st.tag, tick_index)),
         static_cast<float>(static_cast<double>(st.pf_avg_mbps) *
                            decay_pow(tick_index - st.pf_last_tick)),
     };
+    metrics_[u] = pf_metric(snaps_[u]);
   }
   const std::span<UeSnapshot> cand(snaps_.data(), static_cast<std::size_t>(window));
-  const auto pf_metric = [](const UeSnapshot& s) {
-    return static_cast<double>(s.inst_mbps) / std::max(0.05, static_cast<double>(s.avg_mbps));
-  };
   // Top-k by PF metric (partial selection sort; window is small and the
-  // first-index-wins tie break keeps the choice deterministic).
+  // first-index-wins tie break keeps the choice deterministic).  Each
+  // metric moves with its candidate.
   const double share_s = cfg_.service_tick.seconds() / k;
   for (int j = 0; j < k; ++j) {
-    int best = j;
-    double best_m = pf_metric(cand[static_cast<std::size_t>(j)]);
-    for (int i = j + 1; i < window; ++i) {
-      const double m = pf_metric(cand[static_cast<std::size_t>(i)]);
-      if (m > best_m) {
-        best_m = m;
+    const auto u = static_cast<std::size_t>(j);
+    std::size_t best = u;
+    double best_m = metrics_[u];
+    for (auto i = u + 1; i < cand.size(); ++i) {
+      if (metrics_[i] > best_m) {
+        best_m = metrics_[i];
         best = i;
       }
     }
-    std::swap(cand[static_cast<std::size_t>(j)], cand[static_cast<std::size_t>(best)]);
-    plan[j].slot = cand[static_cast<std::size_t>(j)].slot;
+    std::swap(cand[u], cand[best]);
+    std::swap(metrics_[u], metrics_[best]);
+    plan[j].slot = cand[u].slot;
     plan[j].bytes = std::max<std::int64_t>(
-        1, static_cast<std::int64_t>(
-               static_cast<double>(cand[static_cast<std::size_t>(j)].inst_mbps) * 1e6 / 8.0 *
-               share_s));
+        1, static_cast<std::int64_t>(static_cast<double>(cand[u].inst_mbps) * 1e6 / 8.0 *
+                                     share_s));
   }
   return k;
 }

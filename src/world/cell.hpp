@@ -16,11 +16,12 @@
 //   LteSector  — proportional-fair downlink.  Per service tick the
 //                scheduler snapshots a rotating window of attached UEs
 //                (the span-based snapshot idiom the MPTCP scheduler
-//                engine uses) and grants the top-k by inst/avg rate,
-//                with deterministic per-UE fast fading supplying the
-//                multi-user diversity PF exists to exploit.
+//                engine uses) and grants the top-k by inst/avg rate
+//                (ranked once per UE and tick), with deterministic
+//                per-UE fast fading supplying the multi-user
+//                diversity PF exists to exploit.
 //   Backhaul   — a token-bucket bottleneck shared by both cells of a
-//                cluster, drawn at grant-commit time in (time, seq)
+//                venue, drawn at grant-commit time in (time, seq)
 //                order.
 //
 // Mechanically each cell owns ONE simulator event per service tick.
@@ -291,8 +292,9 @@ class LteSector final : public CellBase {
   [[nodiscard]] double decay_pow(std::int64_t ticks) const;
 
   Options opt_;
-  std::vector<UeSnapshot> snaps_;     // selection scratch, sized pf_window
-  std::vector<double> decay_table_;   // (1 - 1/T)^i, i in [0, 1024)
+  std::vector<UeSnapshot> snaps_;  // selection scratch, sized pf_window
+  std::vector<double> metrics_;    // PF metric of each snapshot, sized pf_window
+  std::span<const double> decay_;  // (1 - 1/T)^i, shared by every sector with this T
 };
 
 }  // namespace mn::world

@@ -1,6 +1,7 @@
 #include "world/shared_world.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <functional>
 #include <memory>
 
@@ -37,25 +38,55 @@ LteSector::Options lte_opts(const WorldOptions& opt, std::uint64_t seed) {
   return o;
 }
 
+std::uint32_t venues_for(int n_users, const WorldOptions& opt) {
+  const auto n = static_cast<std::size_t>(std::max(0, n_users));
+  const auto per_cell = static_cast<std::size_t>(std::max(1, opt.users_per_cell));
+  return static_cast<std::uint32_t>(std::max<std::size_t>(1, (n + per_cell - 1) / per_cell));
+}
+
 }  // namespace
+
+ClusterPlan plan_cluster(const ClusterSpec& spec, int n_users, const WorldOptions& opt) {
+  ClusterPlan plan;
+  plan.name = spec.name;
+  plan.venues = venues_for(n_users, opt);
+  plan.users.resize(static_cast<std::size_t>(std::max(0, n_users)));
+  // The event loop itself is randomness-free (the PF fading hash is a
+  // pure function, not a stream).
+  Rng rng(mix_seed(opt.seed, spec.name));
+  for (UserPlan& u : plan.users) {
+    // Both rates, then both delays.
+    for (const PathId p : kPaths) u.phy_mbps[p] = static_cast<float>(spec.rate[p].sample(rng));
+    for (const PathId p : kPaths) {
+      u.rtt_ms[p] = static_cast<float>(2.0 * spec.delay[p].sample(rng).millis());
+    }
+    const bool incomplete = rng.uniform() < opt.incomplete_probability;
+    const bool skip_wifi_side = rng.uniform() < 0.5;  // drawn unconditionally
+    if (incomplete) {
+      u.skip[PathId::kWifi] = skip_wifi_side;
+      u.skip[PathId::kLte] = !skip_wifi_side;
+    }
+    u.arrival = secs_f(rng.uniform(0.0, opt.arrival_window_s));
+  }
+  return plan;
+}
 
 ClusterWorld::ClusterWorld(Simulator& sim, const ClusterSpec& spec, int n_users,
                            const WorldOptions& opt)
-    : sim_(sim), opt_(opt) {
-  stats_.name = spec.name;
-  const auto n = static_cast<std::size_t>(std::max(0, n_users));
-  users_.resize(n);
-  // Venue build-out: a cluster with n users gets ceil(n / users_per_cell)
-  // venues so AP density stays realistic at any scale; users are dealt
-  // round-robin (user i -> venue i % n_venues), so every venue carries
-  // within one user of every other.
-  const auto per_cell = static_cast<std::size_t>(std::max(1, opt.users_per_cell));
-  const std::size_t n_venues = std::max<std::size_t>(1, (n + per_cell - 1) / per_cell);
-  const std::size_t capacity = std::max<std::size_t>(1, (n + n_venues - 1) / n_venues);
+    : ClusterWorld(sim, plan_cluster(spec, n_users, opt), 0,
+                   venues_for(n_users, opt), opt) {}
+
+ClusterWorld::ClusterWorld(Simulator& sim, const ClusterPlan& plan, std::uint32_t first_venue,
+                           std::uint32_t last_venue, const WorldOptions& opt)
+    : sim_(sim), opt_(opt), cluster_venues_(plan.venues), first_venue_(first_venue) {
+  assert(first_venue <= last_venue && last_venue <= plan.venues);
+  stats_.name = plan.name;
+  const std::size_t n = plan.users.size();
+  const std::size_t capacity = std::max<std::size_t>(1, (n + plan.venues - 1) / plan.venues);
   const bool use_backhaul = opt.backhaul_mbps > 0;
-  venues_.reserve(n_venues);
-  for (std::size_t v = 0; v < n_venues; ++v) {
-    const std::string base = spec.name + ".v" + std::to_string(v);
+  venues_.reserve(last_venue - first_venue);
+  for (std::uint32_t v = first_venue; v < last_venue; ++v) {
+    const std::string base = plan.name + ".v" + std::to_string(v);
     venues_.push_back(std::make_unique<Venue>(
         sim, Backhaul(use_backhaul ? opt.backhaul_mbps : 1e9, opt.backhaul_burst),
         use_backhaul,
@@ -64,25 +95,21 @@ ClusterWorld::ClusterWorld(Simulator& sim, const ClusterSpec& spec, int n_users,
         make_cell_cfg(base + ".lte", opt, opt.lte_grants_per_tick, nullptr, capacity),
         lte_opts(opt, mix_seed(opt.seed, "fading." + base))));
   }
-  // Plan phase: every random draw happens here, in user order, before
-  // the first event fires — the event loop itself is randomness-free
-  // (the PF fading hash is a pure function, not a stream).
-  Rng rng(mix_seed(opt.seed, spec.name));
-  for (std::uint32_t i = 0; i < users_.size(); ++i) {
-    UserFlow& u = users_[i];
-    // Both rates, then both delays.
-    for (const PathId p : kPaths) u.phy_mbps[p] = static_cast<float>(spec.rate[p].sample(rng));
-    for (const PathId p : kPaths) {
-      u.rtt_ms[p] = static_cast<float>(2.0 * spec.delay[p].sample(rng).millis());
+  // The held venues' users in global order, which is also their row-major
+  // storage order (see user()).
+  users_.reserve(venues_.size() * capacity);
+  for (std::size_t row = 0; row * plan.venues < n; ++row) {
+    for (std::uint32_t v = first_venue; v < last_venue; ++v) {
+      const std::size_t i = row * plan.venues + v;
+      if (i >= n) break;
+      const UserPlan& p = plan.users[i];
+      UserFlow& u = users_.emplace_back();
+      u.phy_mbps = p.phy_mbps;
+      u.rtt_ms = p.rtt_ms;
+      u.skip = p.skip;
+      sim_.schedule_at(TimePoint{} + p.arrival,
+                       [this, i = static_cast<std::uint32_t>(i)] { start_user(i); });
     }
-    const bool incomplete = rng.uniform() < opt_.incomplete_probability;
-    const bool skip_wifi_side = rng.uniform() < 0.5;  // drawn unconditionally
-    if (incomplete) {
-      u.skip[PathId::kWifi] = skip_wifi_side;
-      u.skip[PathId::kLte] = !skip_wifi_side;
-    }
-    const Duration arrival = secs_f(rng.uniform(0.0, opt_.arrival_window_s));
-    sim_.schedule_at(TimePoint{} + arrival, [this, i] { start_user(i); });
   }
 }
 
@@ -93,7 +120,7 @@ void ClusterWorld::start_user(std::uint32_t i) {
 }
 
 void ClusterWorld::begin_phase(std::uint32_t i, std::uint8_t phase) {
-  UserFlow& u = users_[i];
+  UserFlow& u = user(i);
   u.phase = phase;
   if (phase == kDone) {
     ++stats_.users_completed;
@@ -118,7 +145,7 @@ void ClusterWorld::begin_phase(std::uint32_t i, std::uint8_t phase) {
   // attaches to every cell at once, and grants from either drain one
   // shared backlog — the aggregation-throughput shape of the paper's
   // Figure 7.
-  Venue& ven = *venues_[i % venues_.size()];
+  Venue& ven = venue_of(i);
   for (const PathId p : kPaths) {
     if (mptcp || p == static_cast<PathId>(phase)) {
       u.station[p] = ven.cell(p).attach(this, i, u.phy_mbps[p]);
@@ -127,7 +154,7 @@ void ClusterWorld::begin_phase(std::uint32_t i, std::uint8_t phase) {
 }
 
 std::int64_t ClusterWorld::on_grant(std::uint32_t tag, std::int64_t offered_bytes) {
-  UserFlow& u = users_[tag];
+  UserFlow& u = user(tag);
   const std::int64_t g = std::min(offered_bytes, u.remaining);
   if (g <= 0) return 0;
   u.remaining -= g;
@@ -137,8 +164,8 @@ std::int64_t ClusterWorld::on_grant(std::uint32_t tag, std::int64_t offered_byte
 }
 
 void ClusterWorld::complete_phase(std::uint32_t i) {
-  UserFlow& u = users_[i];
-  Venue& ven = *venues_[i % venues_.size()];
+  UserFlow& u = user(i);
+  Venue& ven = venue_of(i);
   const std::int64_t dur_us = sim_.now().usec() - u.phase_start_us;
   // bits per microsecond == Mbps.
   const double mbps =
@@ -191,27 +218,60 @@ std::vector<int> split_users(const std::vector<ClusterSpec>& world,
 WorldResult run_world(const std::vector<ClusterSpec>& world, std::uint64_t total_users,
                       const WorldOptions& opt) {
   const std::vector<int> counts = split_users(world, total_users);
+  const auto plans = parallel_map(world.size(), opt.parallelism, [&](std::size_t c) {
+    return plan_cluster(world[c], counts[c], opt);
+  });
 
-  struct ShardOut {
-    StreamingClusterStats stats;
+  // The work units are every (cluster, venue) pair in cluster order,
+  // dealt to contiguous chunks.  A chunk folds its venues into one
+  // accumulator per cluster it reaches, so memory stays per chunk, not
+  // per venue.
+  struct Unit {
+    std::uint32_t cluster;
+    std::uint32_t venue;
+  };
+  std::vector<Unit> units;
+  for (std::uint32_t c = 0; c < plans.size(); ++c) {
+    for (std::uint32_t v = 0; v < plans[c].venues; ++v) units.push_back({c, v});
+  }
+  const auto workers = static_cast<std::size_t>(std::max(1, resolve_parallelism(opt.parallelism)));
+  // Several chunks per worker even out the venues' uneven costs.
+  const std::size_t n_chunks = workers == 1 ? 1 : std::min(units.size(), 8 * workers);
+  struct ChunkOut {
+    std::uint32_t first_cluster = 0;
+    std::vector<StreamingClusterStats> stats;  // clusters first_cluster, first_cluster + 1, ...
     std::uint64_t fired = 0;
     std::int64_t end_us = 0;
   };
-  auto shards = parallel_map(world.size(), opt.parallelism, [&](std::size_t i) {
-    Simulator sim;  // honours MN_SCALAR_DISPATCH itself
-    if (!opt.batch_dispatch) sim.set_batch_dispatch(false);
-    ClusterWorld cluster(sim, world[i], counts[i], opt);
-    sim.run_until_idle();
-    return ShardOut{cluster.take_stats(), sim.events_fired(), sim.now().usec()};
+  auto chunks = parallel_map(n_chunks, opt.parallelism, [&](std::size_t k) {
+    ChunkOut out;
+    for (std::size_t j = units.size() * k / n_chunks; j < units.size() * (k + 1) / n_chunks; ++j) {
+      const Unit u = units[j];
+      Simulator sim;  // honours MN_SCALAR_DISPATCH itself
+      if (!opt.batch_dispatch) sim.set_batch_dispatch(false);
+      ClusterWorld venue(sim, plans[u.cluster], u.venue, u.venue + 1, opt);
+      sim.run_until_idle();
+      if (out.stats.empty()) out.first_cluster = u.cluster;
+      if (out.first_cluster + out.stats.size() == u.cluster) {
+        out.stats.push_back(venue.take_stats());
+      } else {
+        out.stats.back().merge_from(venue.stats());
+      }
+      out.fired += sim.events_fired();
+      out.end_us = std::max(out.end_us, sim.now().usec());
+    }
+    return out;
   });
 
   WorldResult r;
   r.stats = StreamingRunStats(world);
   r.total_users = total_users;
-  for (std::size_t i = 0; i < shards.size(); ++i) {
-    r.stats.cluster(i).merge_from(shards[i].stats);
-    r.events_fired += shards[i].fired;
-    r.sim_horizon_s = std::max(r.sim_horizon_s, static_cast<double>(shards[i].end_us) / 1e6);
+  for (const ChunkOut& out : chunks) {
+    for (std::size_t j = 0; j < out.stats.size(); ++j) {
+      r.stats.cluster(out.first_cluster + j).merge_from(out.stats[j]);
+    }
+    r.events_fired += out.fired;
+    r.sim_horizon_s = std::max(r.sim_horizon_s, static_cast<double>(out.end_us) / 1e6);
   }
   return r;
 }

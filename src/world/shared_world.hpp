@@ -1,9 +1,9 @@
 // The shared-infrastructure world: many concurrent users contending
-// for the cells of cell.hpp inside one simulation.
+// for the cells of cell.hpp.
 //
-// Each Table-1 cluster becomes ONE simulation containing a set of
-// *venues* — each one WifiCell + one LteSector sharing one Backhaul
-// (the coffee shop's AP, the overhead sector, and the shop's uplink) —
+// Each Table-1 cluster is a set of *venues* — each one WifiCell + one
+// LteSector sharing one Backhaul (the coffee shop's AP, the overhead
+// sector, and the shop's uplink) —
 // plus n fluid user flows that replay the paper's measurement
 // protocol: every user runs a WiFi bulk probe, then
 // an LTE bulk probe, then (optionally) an MPTCP probe attached to BOTH
@@ -17,13 +17,18 @@
 //
 // Determinism contract (DESIGN.md §14):
 //   - Every per-user random draw comes from an Rng forked off
-//     (seed, cluster name) BEFORE the simulation starts; nothing inside
-//     the event loop draws randomness except the LTE sector's hashed
-//     fading, which is a pure function of (seed, tag, tick).
-//   - One cluster == one Simulator.  run_world shards clusters across
-//     workers with parallel_map and merges StreamingClusterStats in
-//     cluster order, so results are byte-identical at any MN_THREADS.
-//   - Within a cluster, cells keep batched and scalar dispatch
+//     (seed, cluster name) in plan_cluster, BEFORE any simulation
+//     starts; nothing inside the event loop draws randomness except the
+//     LTE sector's hashed fading, which is a pure function of
+//     (venue seed, tag, tick).
+//   - One venue == one unit of simulation.  Venues share nothing but
+//     the plan they were dealt from, so a ClusterWorld may hold any
+//     range of a cluster's venues on one Simulator: run_world runs each
+//     venue on its own Simulator, sharded across workers with
+//     parallel_map, and merges StreamingClusterStats in cluster order;
+//     a whole cluster on one Simulator gives the same bytes and the
+//     same event count.  Results are byte-identical at any MN_THREADS.
+//   - Within a venue, cells keep batched and scalar dispatch
 //     bit-identical (see cell.hpp); the golden test pins both axes.
 #pragma once
 
@@ -81,19 +86,48 @@ struct WorldOptions {
   int parallelism = 0;
 };
 
-/// One cluster's shared world: cells + n users on one Simulator.  The
-/// caller owns the Simulator and drives it (run_until_idle); the world
-/// schedules user arrivals in its constructor.
+/// One user's plan-phase draws.
+struct UserPlan {
+  PerPath<float> phy_mbps;
+  PerPath<float> rtt_ms;  // uncontended base RTTs
+  Duration arrival{};
+  PerPath<bool> skip;  // the paper's incomplete runs skip one network
+};
+
+/// A cluster's users, indexed by global user index (the station tag),
+/// and its venue count.  User i is dealt to venue i % venues, so every
+/// venue carries within one user of every other.
+struct ClusterPlan {
+  std::string name;
+  std::vector<UserPlan> users;
+  std::uint32_t venues = 1;
+};
+
+/// Every random draw of one cluster, in user order: both rates, both
+/// delays, incomplete, skip side, arrival.  The cluster gets
+/// ceil(n_users / opt.users_per_cell) venues.
+[[nodiscard]] ClusterPlan plan_cluster(const ClusterSpec& spec, int n_users,
+                                       const WorldOptions& opt);
+
+/// A range of one cluster's venues and their users on one Simulator.
+/// The caller owns the Simulator and drives it (run_until_idle); the
+/// world schedules user arrivals in its constructor.
 class ClusterWorld final : public GrantSink {
  public:
+  /// The whole cluster: every venue of plan_cluster(spec, n_users, opt).
   ClusterWorld(Simulator& sim, const ClusterSpec& spec, int n_users,
                const WorldOptions& opt);
+  /// Venues [first_venue, last_venue) of `plan` and only their users;
+  /// each user keeps its global index as its station tag.
+  ClusterWorld(Simulator& sim, const ClusterPlan& plan, std::uint32_t first_venue,
+               std::uint32_t last_venue, const WorldOptions& opt);
 
   std::int64_t on_grant(std::uint32_t tag, std::int64_t offered_bytes) override;
 
   [[nodiscard]] const StreamingClusterStats& stats() const { return stats_; }
   [[nodiscard]] StreamingClusterStats take_stats() { return std::move(stats_); }
   [[nodiscard]] int users_in_flight() const { return in_flight_; }
+  /// Venues this world holds; wifi(v) etc. index them from 0.
   [[nodiscard]] std::size_t venue_count() const { return venues_.size(); }
   [[nodiscard]] WifiCell& wifi(std::size_t v = 0) { return venues_[v]->wifi; }
   [[nodiscard]] LteSector& lte(std::size_t v = 0) { return venues_[v]->lte; }
@@ -141,12 +175,22 @@ class ClusterWorld final : public GrantSink {
   // The grant path walks this record on every grant: keep it one cache line.
   static_assert(sizeof(UserFlow) == 64);
 
+  // Users are named by global index i and stored row by row over the
+  // held venues: row i / cluster_venues_, column i % cluster_venues_.
+  [[nodiscard]] UserFlow& user(std::uint32_t i) {
+    return users_[(i / cluster_venues_) * venues_.size() + (i % cluster_venues_ - first_venue_)];
+  }
+  [[nodiscard]] Venue& venue_of(std::uint32_t i) {
+    return *venues_[i % cluster_venues_ - first_venue_];
+  }
   void start_user(std::uint32_t i);
   void begin_phase(std::uint32_t i, std::uint8_t phase);
   void complete_phase(std::uint32_t i);
 
   Simulator& sim_;
   WorldOptions opt_;
+  std::uint32_t cluster_venues_;  // the plan's venue count
+  std::uint32_t first_venue_;
   std::vector<std::unique_ptr<Venue>> venues_;
   std::vector<UserFlow> users_;
   StreamingClusterStats stats_;
@@ -158,13 +202,13 @@ struct WorldResult {
   StreamingRunStats stats;
   std::uint64_t events_fired = 0;
   std::uint64_t total_users = 0;
-  double sim_horizon_s = 0.0;  // max end-of-sim time across clusters
+  double sim_horizon_s = 0.0;  // max end-of-sim time across venues
 };
 
 /// Distribute `total_users` over `world`'s clusters (weighted by each
-/// cluster's Table-1 run count), simulate every cluster on its own
-/// Simulator — in parallel across opt.parallelism workers — and merge
-/// the per-cluster streaming stats in cluster order.
+/// cluster's Table-1 run count), plan every cluster, simulate every
+/// venue on its own Simulator — in parallel across opt.parallelism
+/// workers — and merge the per-cluster streaming stats in cluster order.
 [[nodiscard]] WorldResult run_world(const std::vector<ClusterSpec>& world,
                                     std::uint64_t total_users, const WorldOptions& opt);
 

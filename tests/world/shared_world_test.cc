@@ -151,6 +151,59 @@ TEST(SharedWorld, ObsRegistersPerCellSeriesWhenAsked) {
   }
 }
 
+/// run_world's result rebuilt the other way: one whole-cluster
+/// ClusterWorld per cluster on one Simulator, merged in cluster order.
+WorldResult whole_cluster_world(const std::vector<ClusterSpec>& world, std::uint64_t users,
+                                const WorldOptions& opt) {
+  const std::vector<int> counts = split_users(world, users);
+  WorldResult r;
+  r.stats = StreamingRunStats(world);
+  r.total_users = users;
+  for (std::size_t c = 0; c < world.size(); ++c) {
+    Simulator sim;
+    if (!opt.batch_dispatch) sim.set_batch_dispatch(false);
+    ClusterWorld cluster(sim, world[c], counts[c], opt);
+    sim.run_until_idle();
+    r.stats.cluster(c).merge_from(cluster.stats());
+    r.events_fired += sim.events_fired();
+    r.sim_horizon_s = std::max(r.sim_horizon_s, static_cast<double>(sim.now().usec()) / 1e6);
+  }
+  return r;
+}
+
+// Venues share nothing but their plan, so running each on its own
+// Simulator must reproduce a whole cluster on one: same bytes, same
+// events, same horizon.  The one-cluster world puts 63/64/65 users
+// around the venue boundary; the Table-1 world spreads them thin.
+TEST(SharedWorld, VenueUnitsMatchOneSimulatorPerCluster) {
+  const std::vector<ClusterSpec> table1 = table1_world();
+  const std::vector<std::vector<ClusterSpec>> worlds{{table1[0]}, table1};
+  for (const std::vector<ClusterSpec>& world : worlds) {
+    for (const std::uint64_t users : {1u, 63u, 64u, 65u, 1000u, 3000u}) {
+      for (const bool batched : {true, false}) {
+        WorldOptions opt = small_opts();
+        // An eighth of the bytes over an eighth of the window: the same
+        // contention in an eighth of the events.
+        opt.transfer_bytes = 125'000;
+        opt.arrival_window_s = 1.25;
+        opt.batch_dispatch = batched;
+        const WorldResult want = whole_cluster_world(world, users, opt);
+        for (const int parallelism : {0, 4}) {
+          opt.parallelism = parallelism;
+          const WorldResult got = run_world(world, users, opt);
+          const std::string where = std::to_string(world.size()) + " clusters, " +
+                                    std::to_string(users) + " users, batched=" +
+                                    std::to_string(batched) + ", parallelism " +
+                                    std::to_string(parallelism);
+          EXPECT_EQ(got.stats.digest(), want.stats.digest()) << where;
+          EXPECT_EQ(got.events_fired, want.events_fired) << where;
+          EXPECT_EQ(got.sim_horizon_s, want.sim_horizon_s) << where;
+        }
+      }
+    }
+  }
+}
+
 // The digest tests above compare two runs of the same code; this pins
 // the bytes themselves, so a sketch or column moved between paths shows.
 TEST(SharedWorld, DigestAndTable1BytesArePinned) {
