@@ -263,6 +263,19 @@ TEST(SweepScenarioKey, BytesArePinned) {
             "cc4d75ecf945c1630c2143e5422c51e4");
 }
 
+TEST(ChaosScenarioKey, BytesArePinned) {
+  const ChaosSoakOptions defaults;
+  EXPECT_EQ(chaos_scenario_key(defaults.seed, defaults).hex(), "b7e683a0d9bd40a8c42041afbbe9ccde");
+  ChaosSoakOptions opt;
+  opt.max_bytes = 400'000;
+  opt.timeout = sec(30);
+  opt.stall_limit = sec(5);
+  opt.plan.max_events = 0;
+  opt.plan.middlebox_probability = 0.5;
+  opt.flight_recorder_events = 256;
+  EXPECT_EQ(chaos_scenario_key(opt.seed + 17, opt).hex(), "f296bcf33422f4d1ccdebe217cdf1bff");
+}
+
 TEST_F(CampaignCacheTest, ChaosSoakColdAndWarmAreIdentical) {
   ChaosSoakOptions opt;
   opt.runs = 4;
