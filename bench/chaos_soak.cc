@@ -23,7 +23,6 @@ int main() {
   ChaosSoakOptions options;
   options.runs = static_cast<int>(200 * bench::env_scale());
   if (options.runs < 1) options.runs = 1;
-  options.parallelism = bench::env_threads();
 
   const ChaosSoakSummary summary = run_chaos_soak(options);
 

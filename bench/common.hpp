@@ -24,7 +24,6 @@
 #include "sim/simulator.hpp"
 #include "util/ascii_plot.hpp"
 #include "util/inplace_function.hpp"
-#include "util/parallel.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 
@@ -65,11 +64,6 @@ inline int env_reps() {
   }
   return 1;
 }
-
-/// MN_THREADS worker count for the replicated-run harnesses (0 = serial).
-/// Results are bit-identical at any value — the drivers pre-draw every
-/// random input serially before fanning out (see util/parallel.hpp).
-inline int env_threads() { return mn::env_threads(); }
 
 /// Downsampled CDF curve of a distribution, ready for render_plot.
 inline Series cdf_series(const EmpiricalDistribution& dist, std::string name,

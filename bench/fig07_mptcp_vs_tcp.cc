@@ -30,14 +30,11 @@ void run_location(const Location20& loc, const char* label, const char* expectat
       TransportConfig::mptcp(PathId::kWifi, CcAlgo::kCoupled),
   };
 
-  SweepOptions sweep;
-  sweep.parallelism = bench::env_threads();
-
   Table t{{"Config", "1 KB", "10 KB", "100 KB", "1 MB"}};
   double best_tcp_1mb = 0.0;
   double best_mptcp_1mb = 0.0;
   for (const auto& cfg : configs) {
-    const auto points = sweep_flow_sizes(setup, cfg, sizes, sweep);
+    const auto points = sweep_flow_sizes(setup, cfg, sizes);
     std::vector<std::string> row{cfg.name()};
     for (const auto& p : points) row.push_back(Table::num(p.throughput_mbps, 2));
     t.add_row(std::move(row));

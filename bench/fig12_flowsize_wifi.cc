@@ -19,12 +19,10 @@ int main() {
   std::vector<std::int64_t> sizes;
   for (std::int64_t kb = 50; kb <= 1000; kb += 50) sizes.push_back(kb * kKB);
 
-  SweepOptions sweep;
-  sweep.parallelism = bench::env_threads();
   const auto lte_points = sweep_flow_sizes(
-      setup, TransportConfig::mptcp(PathId::kLte, CcAlgo::kDecoupled), sizes, sweep);
+      setup, TransportConfig::mptcp(PathId::kLte, CcAlgo::kDecoupled), sizes);
   const auto wifi_points = sweep_flow_sizes(
-      setup, TransportConfig::mptcp(PathId::kWifi, CcAlgo::kDecoupled), sizes, sweep);
+      setup, TransportConfig::mptcp(PathId::kWifi, CcAlgo::kDecoupled), sizes);
 
   Series lte_s{"MPTCP(LTE)", {}};
   Series wifi_s{"MPTCP(WiFi)", {}};

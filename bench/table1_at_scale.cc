@@ -55,7 +55,6 @@ int main() {
 
   world::WorldOptions opt;
   opt.incomplete_probability = 0.08;  // the paper's incomplete-run share
-  opt.parallelism = bench::env_threads();
 
   const auto clusters = table1_world();
   world::WorldResult result;

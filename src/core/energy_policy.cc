@@ -72,8 +72,7 @@ TransportConfig energy_aware_policy(const LinkEstimate& est, std::int64_t flow_b
   TransportConfig best = always_wifi_policy();
   double best_cost = std::numeric_limits<double>::infinity();
   for (const TransportConfig& config : replay_configs()) {
-    if (config.kind == TransportKind::kMptcp &&
-        flow_bytes < policy.short_flow_threshold) {
+    if (config.kind == TransportKind::kMptcp && flow_bytes < kShortFlowThreshold) {
       continue;  // Section 3.3: MPTCP cannot pay for itself on short flows
     }
     const auto cost = estimate_energy_cost(est, config, flow_bytes, policy);

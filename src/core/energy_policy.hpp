@@ -22,9 +22,6 @@ struct EnergyPolicyConfig {
   /// Joules the user will pay per saved second of transfer time.
   /// 0 = energy only; large = time only (degenerates to adaptive_policy).
   double joules_per_second = 2.0;
-  /// Flow-size boundary below which MPTCP is never worth the second
-  /// radio's tail energy.
-  std::int64_t short_flow_threshold = 100'000;
 };
 
 /// Predicted cost of running `flow_bytes` under `config` given measured

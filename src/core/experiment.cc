@@ -6,6 +6,7 @@
 #include "faults/fault_injector.hpp"
 #include "store/codec.hpp"
 #include "store/memoize.hpp"
+#include "tcp/tcp_endpoint.hpp"
 
 namespace mn {
 namespace {
@@ -46,8 +47,9 @@ void key_transport(store::KeyBuilder& key, const TransportConfig& config) {
       .u8(static_cast<std::uint8_t>(mp.scheduler))
       .boolean(mp.opportunistic_reinjection)
       .boolean(mp.penalization)
-      .i64(mp.subflow_min_rto.usec())
-      .i64(mp.subflow_initial_rto.usec())
+      // The fixed RTO floor and start stay keyed so stored results hit.
+      .i64(kMinRto.usec())
+      .i64(kInitialRto.usec())
       .i64(mp.subflow_max_rto.usec());
 }
 

@@ -61,8 +61,8 @@ OracleReport make_oracle_report(const ConfigTimes& times) {
   return r;
 }
 
-NormalizedOracles normalize_oracles(const std::vector<OracleReport>& reports) {
-  NormalizedOracles n;
+OracleReport normalize_oracles(const std::vector<OracleReport>& reports) {
+  OracleReport n{1.0, 1.0, 1.0, 1.0, 1.0, 1.0};
   if (reports.empty()) return n;
   double base = 0.0;
   double sp = 0.0;

@@ -30,6 +30,10 @@ struct LinkEstimate {
 /// Pick the single path with the higher measured throughput.
 [[nodiscard]] TransportConfig best_single_path_policy(const LinkEstimate& est);
 
+/// Flow-size boundary below which MPTCP cannot amortize its join, nor
+/// pay for the second radio's tail energy (Section 3.3).
+inline constexpr std::int64_t kShortFlowThreshold = 100'000;
+
 /// The paper-derived adaptive answer to "WiFi, LTE, or Both?":
 ///   - flows below `short_flow_threshold` use the best single path
 ///     (MPTCP cannot amortize its join for short flows — Section 3.3);
@@ -39,7 +43,7 @@ struct LinkEstimate {
 ///     underperforms the best single path (Figure 7a), so stay single.
 [[nodiscard]] TransportConfig adaptive_policy(const LinkEstimate& est,
                                               std::int64_t flow_bytes,
-                                              std::int64_t short_flow_threshold = 100'000,
+                                              std::int64_t short_flow_threshold = kShortFlowThreshold,
                                               double comparable_ratio = 4.0);
 
 /// Measured outcome of one configuration at one network condition.
@@ -61,16 +65,9 @@ struct OracleReport {
 [[nodiscard]] OracleReport make_oracle_report(const ConfigTimes& times);
 
 /// Average multiple reports (per network condition) and normalize by the
-/// WiFi-TCP baseline, producing the Figure-19/21 bars.
-struct NormalizedOracles {
-  double wifi_tcp = 1.0;
-  double single_path_oracle = 1.0;
-  double decoupled_mptcp_oracle = 1.0;
-  double coupled_mptcp_oracle = 1.0;
-  double wifi_primary_oracle = 1.0;
-  double lte_primary_oracle = 1.0;
-};
-
-[[nodiscard]] NormalizedOracles normalize_oracles(const std::vector<OracleReport>& reports);
+/// WiFi-TCP baseline, producing the Figure-19/21 bars: every field of the
+/// result is a fraction of WiFi-TCP's time, so wifi_tcp is 1.  With no
+/// reports (or no baseline time) every field is 1.
+[[nodiscard]] OracleReport normalize_oracles(const std::vector<OracleReport>& reports);
 
 }  // namespace mn

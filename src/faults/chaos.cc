@@ -16,6 +16,8 @@ namespace mn {
 namespace {
 
 constexpr std::uint8_t kChaosReportBlobVersion = 2;  // v2: negotiation fields
+/// Smallest transfer a chaos run draws.
+constexpr std::int64_t kMinBytes = 50'000;
 
 /// Best-effort black-box file: reporting must never throw.
 void write_flight_dump(const ChaosRunReport& report, const std::string& dir) {
@@ -93,7 +95,7 @@ ChaosRunReport run_chaos_run(std::uint64_t seed, const ChaosSoakOptions& options
   const MpNetworkSetup setup = random_setup(rng);
   const MptcpSpec spec = random_spec(rng);
   const Direction dir = rng.chance(0.5) ? Direction::kDownload : Direction::kUpload;
-  report.bytes_requested = rng.uniform_int(options.min_bytes, options.max_bytes);
+  report.bytes_requested = rng.uniform_int(kMinBytes, options.max_bytes);
   const FaultPlan plan = random_fault_plan(rng.next_u64(), options.plan);
   report.plan_text = plan.serialize();
 
@@ -178,7 +180,7 @@ ChaosRunReport run_chaos_run(std::uint64_t seed, const ChaosSoakOptions& options
 store::ScenarioKey chaos_scenario_key(std::uint64_t seed, const ChaosSoakOptions& options) {
   store::KeyBuilder key{"chaos-run"};
   key.u64(seed)
-      .i64(options.min_bytes)
+      .i64(kMinBytes)
       .i64(options.max_bytes)
       .i64(options.timeout.usec())
       .i64(options.stall_limit.usec())

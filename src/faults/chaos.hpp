@@ -30,7 +30,7 @@ namespace mn {
 struct ChaosSoakOptions {
   int runs = 200;
   std::uint64_t seed = 20140814;
-  std::int64_t min_bytes = 50'000;
+  /// Each run moves a uniform draw of bytes in [50'000, max_bytes].
   std::int64_t max_bytes = 2'000'000;
   Duration timeout = sec(120);
   /// Watchdog bound asserted by invariant 3.

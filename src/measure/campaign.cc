@@ -17,6 +17,11 @@
 namespace mn {
 namespace {
 
+/// Pings per network measurement (the app's fixed probe).
+constexpr int kPingCount = 10;
+/// Watchdog bound for fault-injected probes.
+constexpr Duration kFaultStallLimit = sec(5);
+
 /// One network measurement: 1 MB up + 1 MB down + pings, on fresh links.
 struct ProbeResult {
   double up_mbps = 0.0;
@@ -67,7 +72,7 @@ ProbeResult probe_network(const RunPlan& plan, PathId p, Rng& rng, const Campaig
   // Unfaulted probes keep the legacy wall-clock-only contract; faulted
   // ones get the tight watchdog so an unrestored blackhole fails the run
   // quickly instead of burning the full timeout.
-  flow_options.stall_limit = faults ? opt.fault_stall_limit : sec(60);
+  flow_options.stall_limit = faults ? kFaultStallLimit : sec(60);
   const auto bulk = [&](Direction dir) {
     return on_fresh_path(faults, [&](Simulator& sim, DuplexPath& path) {
       return run_bulk_flow(sim, path, opt.transfer_bytes, dir, reno_factory(), flow_options);
@@ -82,7 +87,7 @@ ProbeResult probe_network(const RunPlan& plan, PathId p, Rng& rng, const Campaig
   res.down_mbps = down.throughput_mbps;
   if (!down.completed && res.failure.empty()) res.failure = "downlink " + down.failure_reason;
   res.rtt_ms = on_fresh_path(nullptr, [&](Simulator& sim, DuplexPath& path) {
-                 return measure_ping_rtt(sim, path, opt.ping_count);
+                 return measure_ping_rtt(sim, path, kPingCount);
                }).millis();
   return res;
 }
@@ -243,7 +248,7 @@ store::ScenarioKey scenario_key(const RunPlan& plan, const CampaignOptions& opti
   if (plan.has_faults) {
     // The fault plan and its watchdog change probe behaviour — but the
     // watchdog only for faulted runs, so it only keys here.
-    key.str(plan.faults.serialize()).i64(options.fault_stall_limit.usec());
+    key.str(plan.faults.serialize()).i64(kFaultStallLimit.usec());
   }
   key.boolean(plan.has_middlebox);
   if (plan.has_middlebox) {
@@ -252,7 +257,7 @@ store::ScenarioKey scenario_key(const RunPlan& plan, const CampaignOptions& opti
     key.f64(plan.middlebox_strip).u64(plan.middlebox_seed).i64(options.mp_probe_bytes);
     key.str(to_string(options.mp_scheduler));
   }
-  key.i64(options.transfer_bytes).u32(static_cast<std::uint32_t>(options.ping_count));
+  key.i64(options.transfer_bytes).u32(static_cast<std::uint32_t>(kPingCount));
   return key.finish();
 }
 

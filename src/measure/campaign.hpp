@@ -71,7 +71,6 @@ struct RunRecord {
 
 struct CampaignOptions {
   std::int64_t transfer_bytes = 1'000'000;  // the app's 1 MB probes
-  int ping_count = 10;
   /// Probability a run is incomplete (user disabled one network).
   double incomplete_probability = 0.08;
   /// Scale factor on each cluster's run count (1.0 = full Table 1).
@@ -80,8 +79,6 @@ struct CampaignOptions {
   /// Probability a run's probes execute under a random FaultPlan
   /// (chaos-in-the-campaign; 0 keeps the legacy deterministic stream).
   double fault_probability = 0.0;
-  /// Watchdog bound for fault-injected probes.
-  Duration fault_stall_limit = sec(5);
   /// When > 0, runs that measure both networks also perform an MPTCP
   /// probe through option-sanitising middleboxes: the WiFi path's box
   /// strips MP_CAPABLE with this probability and the LTE path's box
@@ -156,10 +153,11 @@ struct RunPlan {
 [[nodiscard]] obs::MetricsSnapshot merge_run_metrics(const std::vector<RunRecord>& runs);
 
 /// Content key of one campaign run: a canonical hash of the pre-drawn
-/// plan plus the result-affecting options (transfer_bytes, ping_count,
-/// and the fault watchdog when the plan carries faults).  Plan-phase
-/// inputs like seed, run_scale, and parallelism deliberately do NOT
-/// key — they shape which plans exist, not what one plan produces.
+/// plan plus the result-affecting values (transfer_bytes, the fixed
+/// ping count, and the fixed fault watchdog when the plan carries
+/// faults).  Plan-phase inputs like seed, run_scale, and parallelism
+/// deliberately do NOT key — they shape which plans exist, not what one
+/// plan produces.
 [[nodiscard]] store::ScenarioKey scenario_key(const RunPlan& plan,
                                               const CampaignOptions& options);
 

@@ -1,4 +1,12 @@
 // MPTCP configuration types (paper Section 3 terminology).
+//
+// MptcpSpec holds what the paper varies (primary network, congestion
+// control, mode, scheduler) plus what fault experiments tighten.  The
+// Linux MPTCP v0.88 behaviour the paper measured is fixed: the MP_JOIN
+// retry ladder is kJoinMaxAttempts / kJoinRetryBackoff / kJoinTimeout
+// below, the subflow RTO floor and start are TcpEndpoint's kMinRto and
+// kInitialRto, and kTailBatch's hysteresis thresholds live with the
+// scheduler (scheduler.cc).
 #pragma once
 
 #include <array>
@@ -141,6 +149,16 @@ enum class MpNegotiation {
   return "?";
 }
 
+/// MP_JOIN persistence against middlebox rejection: total connection
+/// attempts for subflow 1 (initial + retries), the backoff before each
+/// retry (doubled per attempt), and how long one attempt may sit in the
+/// handshake before it is declared rejected.  Bounded so no middlebox
+/// combination can hang a run — after the last attempt the connection
+/// settles at kSubflowRejected and runs single-subflow.
+inline constexpr int kJoinMaxAttempts = 3;
+inline constexpr Duration kJoinRetryBackoff = msec(500);
+inline constexpr Duration kJoinTimeout = sec(3);
+
 struct MptcpSpec {
   /// Network carrying the primary subflow (the paper's central knob).
   PathId primary = PathId::kWifi;
@@ -161,33 +179,17 @@ struct MptcpSpec {
   /// (bench/ablation_mptcp_mechanisms studies them).
   bool opportunistic_reinjection = true;
   bool penalization = true;
-  /// Per-subflow retransmission timer bounds (RFC 6298 / Linux
-  /// TCP_RTO_MIN..TCP_RTO_MAX).  Exposed so fault experiments can
+  /// Per-subflow retransmission timer ceiling (RFC 6298 / Linux
+  /// TCP_RTO_MAX; the floor and initial value are TcpEndpoint's
+  /// kMinRto and kInitialRto).  Exposed so fault experiments can
   /// tighten the backoff ceiling: on a blackholed subflow the RTO
   /// doubles per expiry but must never exceed subflow_max_rto.
-  Duration subflow_min_rto = msec(200);
-  Duration subflow_initial_rto = sec(1);
   Duration subflow_max_rto = sec(60);
-  /// MP_JOIN persistence against middlebox rejection: total connection
-  /// attempts for subflow 1 (initial + retries), the backoff before each
-  /// retry (doubled per attempt), and how long one attempt may sit in
-  /// the handshake before it is declared rejected.  Bounded so no
-  /// middlebox combination can hang a run — after the last attempt the
-  /// connection settles at kSubflowRejected and runs single-subflow.
-  int join_max_attempts = 3;
-  Duration join_retry_backoff = msec(500);
-  Duration join_timeout = sec(3);
   /// kEnergyAware: the LTE subflow is not joined (and gets no fresh
   /// data) until the un-acked backlog reaches this many bytes — flows
   /// that stay below it never wake the LTE radio and never pay its
   /// 15-second tail.  <= 0 disables the gate (always engage).
   std::int64_t energy_engage_bytes = 512'000;
-  /// kTailBatch hysteresis on the *unassigned* backlog: LTE fresh
-  /// grants open at >= open bytes and close once it drains to
-  /// <= close bytes, so the costly radio wakes only for batches worth
-  /// its tail and dribbles ride WiFi.
-  std::int64_t tail_batch_open_bytes = 256'000;
-  std::int64_t tail_batch_close_bytes = 64'000;
   /// Forwarded to every subflow's TcpConfig: record the per-subflow
   /// acked/delivered timelines.  Leave on for figure benches; turn off
   /// when attaching many agents at once (shared-cell worlds) so

@@ -37,8 +37,6 @@ void MptcpAgent::setup_subflow(int id, PathId path, MpOption syn_option) {
   cfg.connection_id = connection_id_;
   cfg.subflow_id = id;
   cfg.syn_option = syn_option;
-  cfg.min_rto = spec_.subflow_min_rto;
-  cfg.initial_rto = spec_.subflow_initial_rto;
   cfg.max_rto = spec_.subflow_max_rto;
   cfg.record_timelines = spec_.record_timelines;
   sf.ep = std::make_unique<TcpEndpoint>(sim_, cfg, make_cc());
@@ -152,7 +150,7 @@ void MptcpAgent::start_join() {
 //   kMultipath   --(mid-flow DSS mangled, MP_FAIL)------> kFallbackTcp
 //
 // Every transition is driven by a bounded mechanism (SYN-option
-// suppression in the endpoint, join_max_attempts/join_timeout here, one
+// suppression in the endpoint, kJoinMaxAttempts/kJoinTimeout here, one
 // MP_FAIL per subflow), so no middlebox combination can stall a flow in
 // kNegotiating forever.
 
@@ -213,7 +211,7 @@ void MptcpAgent::attempt_join() {
   if (!is_client_ || achieved_mp_ || join_given_up_ || shutdown_) return;
   if (negotiation_ == MpNegotiation::kFallbackTcp) return;
   if (subflow_close_issued_ || closed_fired_) return;
-  if (join_attempts_ >= spec_.join_max_attempts) {
+  if (join_attempts_ >= kJoinMaxAttempts) {
     give_up_join();
     return;
   }
@@ -229,7 +227,7 @@ void MptcpAgent::attempt_join() {
   }
   sf.connected_started = true;
   join_retry_pending_ = false;
-  join_timer_.restart(spec_.join_timeout);  // supervision: rejection backstop
+  join_timer_.restart(kJoinTimeout);  // supervision: rejection backstop
   sf.ep->connect();
 }
 
@@ -251,14 +249,14 @@ void MptcpAgent::fail_join_attempt() {
     sf.mappings.clear();  // nothing assigned pre-establishment
     sf.dup_queue.clear();
   }
-  if (join_attempts_ >= spec_.join_max_attempts) {
+  if (join_attempts_ >= kJoinMaxAttempts) {
     give_up_join();
     return;
   }
   if (auto* o = sim_.obs()) o->count(o->ids().mptcp_join_retries);
   join_retry_pending_ = true;
   const int shift = join_attempts_ > 0 ? join_attempts_ - 1 : 0;
-  join_timer_.restart(Duration{spec_.join_retry_backoff.usec() << shift});
+  join_timer_.restart(Duration{kJoinRetryBackoff.usec() << shift});
 }
 
 void MptcpAgent::give_up_join() {

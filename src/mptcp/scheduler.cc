@@ -136,16 +136,12 @@ class EnergyAwareScheduler final : public Scheduler {
 };
 
 /// Tail-aware batching: fresh grants to the costly radio open only when
-/// the *unassigned* backlog is worth a tail (>= open bytes) and close
-/// again once it drains (<= close bytes).  Against an app that writes
+/// the *unassigned* backlog is worth a tail (>= kOpenBytes) and close
+/// again once it drains (<= kCloseBytes).  Against an app that writes
 /// incrementally, LTE wakes for coalesced batches instead of per-write
 /// dribbles; each wake amortises its 15 s tail over a real batch.
 class TailBatchScheduler final : public Scheduler {
  public:
-  TailBatchScheduler(std::int64_t open_bytes, std::int64_t close_bytes)
-      : open_bytes_(std::max<std::int64_t>(open_bytes, 1)),
-        close_bytes_(std::clamp<std::int64_t>(close_bytes, 0, open_bytes_ - 1)) {}
-
   std::size_t pump_order(std::span<const SubflowSnapshot> subflows,
                          const SchedContext& ctx, std::span<int> out) override {
     update(ctx);
@@ -161,13 +157,16 @@ class TailBatchScheduler final : public Scheduler {
   [[nodiscard]] const char* name() const override { return "TailBatch"; }
 
  private:
+  /// Hysteresis on the unassigned backlog: the costly radio wakes only
+  /// for batches worth its tail, and dribbles ride WiFi.
+  static constexpr std::int64_t kOpenBytes = 256'000;
+  static constexpr std::int64_t kCloseBytes = 64'000;
+
   void update(const SchedContext& ctx) {
-    if (!open_ && ctx.unassigned() >= open_bytes_) open_ = true;
-    else if (open_ && ctx.unassigned() <= close_bytes_) open_ = false;
+    if (!open_ && ctx.unassigned() >= kOpenBytes) open_ = true;
+    else if (open_ && ctx.unassigned() <= kCloseBytes) open_ = false;
   }
 
-  std::int64_t open_bytes_;
-  std::int64_t close_bytes_;
   bool open_ = false;
 };
 
@@ -200,8 +199,7 @@ std::unique_ptr<Scheduler> make_scheduler(const MptcpSpec& spec) {
     case MpScheduler::kEnergyAware:
       return std::make_unique<EnergyAwareScheduler>(spec.energy_engage_bytes);
     case MpScheduler::kTailBatch:
-      return std::make_unique<TailBatchScheduler>(spec.tail_batch_open_bytes,
-                                                  spec.tail_batch_close_bytes);
+      return std::make_unique<TailBatchScheduler>();
     case MpScheduler::kLowestRtt: break;
   }
   return std::make_unique<LowestRttScheduler>();

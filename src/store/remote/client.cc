@@ -7,6 +7,13 @@
 
 namespace mn::store::remote {
 
+namespace {
+/// Circuit-breaker cap: after repeated whole-operation failures, at
+/// most this many subsequent operations are skipped (degraded without
+/// touching the socket) before probing the server again.
+constexpr int kMaxSkip = 64;
+}  // namespace
+
 RemoteStore::RemoteStore(RemoteStoreOptions options)
     : options_(std::move(options)), endpoint_(parse_endpoint(options_.endpoint)) {}
 
@@ -44,10 +51,10 @@ bool RemoteStore::breaker_skips_locked() {
 void RemoteStore::note_failure_locked() {
   ++stats_.degraded;
   // Next 2^streak operations degrade instantly, capped: a dead server
-  // costs the campaign O(1) failed connects per max_skip runs.
+  // costs the campaign O(1) failed connects per kMaxSkip runs.
   failure_streak_ = std::min(failure_streak_ + 1, 30);
   const long skip = 1L << std::min(failure_streak_, 10);
-  skip_remaining_ = static_cast<int>(std::min<long>(skip, options_.max_skip));
+  skip_remaining_ = static_cast<int>(std::min<long>(skip, kMaxSkip));
 }
 
 void RemoteStore::note_success_locked() {

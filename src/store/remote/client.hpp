@@ -16,7 +16,7 @@
 // Retry policy: each operation gets `max_attempts` tries with capped
 // exponential backoff; when an operation still fails, a count-based
 // circuit breaker degrades the next 2^streak operations instantly
-// (capped at max_skip) so a dead server costs a campaign microseconds
+// (capped at 64) so a dead server costs a campaign microseconds
 // per run, not three connect timeouts.  Everything is observable via
 // store.remote.* counters (hits, misses, puts, reconnects, degraded,
 // skipped, protocol_errors).
@@ -48,10 +48,6 @@ struct RemoteStoreOptions {
   std::chrono::milliseconds max_backoff{100};
   std::chrono::milliseconds connect_timeout{1000};
   std::chrono::milliseconds io_timeout{5000};
-  /// Circuit-breaker cap: after repeated whole-operation failures, at
-  /// most this many subsequent operations are skipped (degraded without
-  /// touching the socket) before probing the server again.
-  int max_skip = 64;
 };
 
 class RemoteStore : public Store {

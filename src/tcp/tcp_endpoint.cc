@@ -16,7 +16,7 @@ TcpEndpoint::TcpEndpoint(Simulator& sim, TcpConfig config,
     : sim_(sim),
       config_(config),
       cc_(std::move(cc)),
-      rto_(config.initial_rto),
+      rto_(kInitialRto),
       rto_timer_(sim, [this] { on_rto_fire(); }),
       probe_timer_(sim, [this] { on_probe_fire(); }) {}
 
@@ -55,10 +55,10 @@ void TcpEndpoint::listen() {
 
 MpOption TcpEndpoint::offered_syn_option() {
   if (config_.syn_option == MpOption::kNone) return MpOption::kNone;
-  // Original + syn_option_retries transmissions carry the option; after
+  // Original + kSynOptionRetries transmissions carry the option; after
   // that the handshake retries bare so an option-dropping middlebox can
   // no longer starve it (Linux MPTCP's SYN fallback).
-  if (syn_sends_ > config_.syn_option_retries) {
+  if (syn_sends_ > kSynOptionRetries) {
     syn_option_suppressed_ = true;
     return MpOption::kNone;
   }
@@ -565,10 +565,9 @@ void TcpEndpoint::process_fin(const Packet& p) {
   peer_fin_seq_ = p.seq;
   if (rcv_next_ == peer_fin_seq_) rcv_next_ += 1;
   send_pure_ack();
-  if (config_.auto_close_on_peer_fin) {
-    want_close_ = true;
-    pump();
-  }
+  // Respond to the peer's FIN with our own once our data is out.
+  want_close_ = true;
+  pump();
 }
 
 void TcpEndpoint::enter_established() {
@@ -612,7 +611,7 @@ void TcpEndpoint::update_rtt(Duration sample) {
     srtt_ = Duration{(7 * srtt_.usec() + sample.usec()) / 8};
   }
   const std::int64_t raw = srtt_.usec() + std::max<std::int64_t>(4 * rttvar_.usec(), 1000);
-  rto_ = Duration{std::clamp(raw, config_.min_rto.usec(), config_.max_rto.usec())};
+  rto_ = Duration{std::clamp(raw, kMinRto.usec(), config_.max_rto.usec())};
 }
 
 void TcpEndpoint::arm_rto() {

@@ -4,8 +4,11 @@
 // handshake (whose RTT drives the primary-subflow effect for short
 // flows), slow start from IW10, NewReno congestion avoidance with fast
 // retransmit/recovery, RFC 6298 RTO with Karn's rule and exponential
-// backoff, cumulative ACKs with out-of-order reassembly, and the
-// FIN/FIN-ACK close visible in the Figure-15 timelines.
+// backoff (kMinRto floor, kInitialRto start), cumulative ACKs with
+// out-of-order reassembly, and the FIN/FIN-ACK close visible in the
+// Figure-15 timelines: an endpoint answers the peer's FIN with its own.
+// An MPTCP option rides the first SYN and kSynOptionRetries
+// retransmissions before the handshake falls back to a bare SYN.
 //
 // Data is synthetic: the endpoint moves byte *counts*, not buffers.  Two
 // feeding modes exist:
@@ -54,19 +57,21 @@ class DataSource {
   [[nodiscard]] virtual bool exhausted() const = 0;
 };
 
+/// SYN/SYN-ACK retransmissions that keep offering TcpConfig::syn_option
+/// before the endpoint falls back to a bare SYN (Linux's
+/// tcp_retries1-style MPTCP fallback: a middlebox eating option-bearing
+/// SYNs must not hang the handshake forever).
+inline constexpr int kSynOptionRetries = 2;
+/// RTO floor (Linux TCP_RTO_MIN) and the RTO before the first RTT
+/// sample (RFC 6298); the ceiling is TcpConfig::max_rto.
+inline constexpr Duration kMinRto = msec(200);
+inline constexpr Duration kInitialRto = sec(1);
+
 struct TcpConfig {
   std::uint64_t connection_id = 1;
   int subflow_id = 0;
   MpOption syn_option = MpOption::kNone;  // kCapable / kJoin for MPTCP
-  /// SYN/SYN-ACK retransmissions that keep offering syn_option before
-  /// the endpoint falls back to a bare SYN (Linux's
-  /// tcp_retries1-style MPTCP fallback: a middlebox eating
-  /// option-bearing SYNs must not hang the handshake forever).
-  int syn_option_retries = 2;
-  Duration min_rto = msec(200);           // Linux TCP_RTO_MIN
-  Duration initial_rto = sec(1);
   Duration max_rto = sec(60);
-  bool auto_close_on_peer_fin = true;     // respond to FIN with our FIN
   /// Record the (time, bytes) acked/delivered timelines.  They are the
   /// raw material of every throughput-vs-time figure but grow without
   /// bound over a connection's life — worlds attaching thousands of
@@ -166,7 +171,7 @@ class TcpEndpoint {
   /// The MPTCP option the handshake settled on (valid once established).
   [[nodiscard]] MpOption negotiated_option() const { return negotiated_option_; }
   /// True when this endpoint gave up offering its MPTCP option after
-  /// syn_option_retries unanswered option-bearing SYNs (the SYN-drop
+  /// kSynOptionRetries unanswered option-bearing SYNs (the SYN-drop
   /// middlebox signature, as opposed to in-flight stripping).
   [[nodiscard]] bool syn_option_suppressed() const { return syn_option_suppressed_; }
 

@@ -10,6 +10,8 @@ namespace mn {
 namespace {
 
 constexpr char kGlyphs[] = {'*', '+', 'o', 'x', '#', '@', '%', '&'};
+constexpr int kPlotWidth = 72;   // plot area columns
+constexpr int kPlotHeight = 18;  // plot area rows
 
 struct Range {
   double lo = 0.0;
@@ -37,8 +39,8 @@ Range data_range(const std::vector<Series>& series, bool x_axis) {
 std::string render_plot(const std::vector<Series>& series, const PlotOptions& opt) {
   const Range xr = opt.fix_x ? Range{opt.x_min, opt.x_max} : data_range(series, true);
   const Range yr = opt.fix_y ? Range{opt.y_min, opt.y_max} : data_range(series, false);
-  const int w = std::max(16, opt.width);
-  const int h = std::max(6, opt.height);
+  const int w = kPlotWidth;
+  const int h = kPlotHeight;
 
   std::vector<std::string> grid(static_cast<std::size_t>(h), std::string(static_cast<std::size_t>(w), ' '));
   for (std::size_t si = 0; si < series.size(); ++si) {

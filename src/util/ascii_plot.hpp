@@ -16,8 +16,6 @@ struct Series {
 };
 
 struct PlotOptions {
-  int width = 72;    // plot area columns
-  int height = 18;   // plot area rows
   std::string x_label = "x";
   std::string y_label = "y";
   // If set, clamp the x-axis; otherwise autoscale to the data.

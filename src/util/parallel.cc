@@ -8,6 +8,7 @@
 
 namespace mn {
 
+namespace {
 int env_threads() {
   if (const char* v = std::getenv("MN_THREADS")) {
     const int n = std::atoi(v);
@@ -15,6 +16,7 @@ int env_threads() {
   }
   return 0;
 }
+}  // namespace
 
 int resolve_parallelism(int requested) {
   return requested < 0 ? env_threads() : requested;

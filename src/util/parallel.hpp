@@ -20,11 +20,8 @@
 
 namespace mn {
 
-/// MN_THREADS environment default; 0 (serial) when unset or invalid.
-[[nodiscard]] int env_threads();
-
-/// Resolve a parallelism request: negative means "use MN_THREADS",
-/// anything else is taken literally.
+/// Resolve a parallelism request: negative means "use MN_THREADS" (0,
+/// serial, when unset or invalid), anything else is taken literally.
 [[nodiscard]] int resolve_parallelism(int requested);
 
 /// Run fn(0) .. fn(n-1) on a pool of `parallelism` workers (resolved via

@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <map>
-#include <memory>
-#include <mutex>
+#include <span>
 
 #include "obs/obs.hpp"
 
@@ -22,26 +20,24 @@ std::uint64_t mix64(std::uint64_t x) {
   return x;
 }
 
-/// (1 - 1/T)^i for i in [0, 1024), built by repeated multiplication once
-/// per distinct decay factor and shared by every sector that uses it, on
-/// any thread.  Tables are never freed, so the spans stay valid.
-std::span<const double> decay_table(double ewma_ticks) {
-  using Table = std::array<double, 1024>;
-  static std::mutex mu;
-  static std::map<double, std::unique_ptr<const Table>> tables;
-  const double d = 1.0 - 1.0 / std::max(1.0, ewma_ticks);
-  const std::lock_guard lock(mu);
-  std::unique_ptr<const Table>& table = tables[d];
-  if (table == nullptr) {
-    auto t = std::make_unique<Table>();
-    double acc = 1.0;
-    for (double& v : *t) {
-      v = acc;
-      acc *= d;
-    }
-    table = std::move(t);
+/// (1 - 1/T)^i for i in [0, 1024), T = kEwmaTicks, built once by
+/// repeated multiplication and read by every sector on any thread.
+constexpr auto kDecay = [] {
+  std::array<double, 1024> t{};
+  const double d = 1.0 - 1.0 / LteSector::kEwmaTicks;
+  double acc = 1.0;
+  for (double& v : t) {
+    v = acc;
+    acc *= d;
   }
-  return *table;
+  return t;
+}();
+
+double decay_pow(std::int64_t ticks) {
+  if (ticks <= 0) return 1.0;
+  const auto i = static_cast<std::size_t>(
+      std::min<std::int64_t>(ticks, static_cast<std::int64_t>(kDecay.size()) - 1));
+  return kDecay[i];
 }
 }  // namespace
 
@@ -219,12 +215,6 @@ int WifiCell::select_grants(std::int64_t /*tick_index*/, Grant* plan) {
   return k;
 }
 
-LteSector::LteSector(Simulator& sim, CellConfig cfg, Options opt)
-    : CellBase(sim, std::move(cfg)), opt_(opt), decay_(decay_table(opt_.ewma_ticks)) {
-  snaps_.resize(static_cast<std::size_t>(std::max(1, opt_.pf_window)));
-  metrics_.resize(snaps_.size());
-}
-
 double LteSector::fading(std::uint32_t tag, std::int64_t tick_index) const {
   const std::uint64_t x =
       mix64(opt_.fading_seed ^ (static_cast<std::uint64_t>(tag) * 0x9e3779b97f4a7c15ull) ^
@@ -233,16 +223,9 @@ double LteSector::fading(std::uint32_t tag, std::int64_t tick_index) const {
   return 1.0 - opt_.fading_depth + 2.0 * opt_.fading_depth * u;
 }
 
-double LteSector::decay_pow(std::int64_t ticks) const {
-  if (ticks <= 0) return 1.0;
-  const auto i = static_cast<std::size_t>(
-      std::min<std::int64_t>(ticks, static_cast<std::int64_t>(decay_.size()) - 1));
-  return decay_[i];
-}
-
 int LteSector::select_grants(std::int64_t tick_index, Grant* plan) {
   const int n = active_;
-  const int window = std::min(opt_.pf_window, n);
+  const int window = std::min(kPfWindow, n);
   const int k = std::min(cfg_.grants_per_tick, window);
   const auto pf_metric = [](const UeSnapshot& s) {
     return static_cast<double>(s.inst_mbps) / std::max(0.05, static_cast<double>(s.avg_mbps));
@@ -296,7 +279,7 @@ void LteSector::on_committed(Station& st, std::int64_t accepted_bytes,
                              static_cast<double>(cfg_.service_tick.usec());
   const double decayed = static_cast<double>(st.pf_avg_mbps) *
                          decay_pow(tick_index - st.pf_last_tick);
-  st.pf_avg_mbps = static_cast<float>(decayed + served_mbps / std::max(1.0, opt_.ewma_ticks));
+  st.pf_avg_mbps = static_cast<float>(decayed + served_mbps / kEwmaTicks);
   st.pf_last_tick = tick_index;
 }
 

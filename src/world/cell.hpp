@@ -10,16 +10,17 @@
 //   WifiCell   — airtime-fair contention.  Per service tick the cell
 //                round-robins grants over the active stations; each
 //                station's bytes scale with its own PHY rate times a
-//                DCF-style efficiency factor eff(n) = 1/(1 + a(n-1))
-//                that decays as more stations contend (collision and
-//                backoff overhead).
+//                DCF-style efficiency factor eff(n) = 1/(1 + a(n-1)),
+//                a = kDcfOverhead, that decays as more stations contend
+//                (collision and backoff overhead).
 //   LteSector  — proportional-fair downlink.  Per service tick the
-//                scheduler snapshots a rotating window of attached UEs
-//                (the span-based snapshot idiom the MPTCP scheduler
-//                engine uses) and grants the top-k by inst/avg rate
-//                (ranked once per UE and tick), with deterministic
-//                per-UE fast fading supplying the multi-user
-//                diversity PF exists to exploit.
+//                scheduler snapshots a rotating window of kPfWindow
+//                attached UEs (the span-based snapshot idiom the MPTCP
+//                scheduler engine uses) and grants the top-k by
+//                inst/avg rate (ranked once per UE and tick; avg is an
+//                EWMA over kEwmaTicks ticks), with deterministic per-UE
+//                fast fading supplying the multi-user diversity PF
+//                exists to exploit.
 //   Backhaul   — a token-bucket bottleneck shared by both cells of a
 //                venue, drawn at grant-commit time in (time, seq)
 //                order.
@@ -41,9 +42,9 @@
 // never needs to chase in-flight events.
 #pragma once
 
+#include <array>
 #include <cassert>
 #include <cstdint>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -122,7 +123,8 @@ class Backhaul {
   std::int64_t throttled_ = 0;
 };
 
-/// Knobs shared by both cell types.
+/// Knobs shared by both cell types.  The defaults are the world's venue
+/// cells (shared_world.hpp): a 5 ms service tick with 8 grants each.
 struct CellConfig {
   std::string name = "cell";  // obs metric prefix: "<name>.grants" etc.
   Duration service_tick = msec(5);
@@ -237,39 +239,33 @@ class CellBase {
 /// Airtime-fair shared WiFi AP with DCF-style efficiency decay.
 class WifiCell final : public CellBase {
  public:
-  struct Options {
-    /// eff(n) = 1 / (1 + dcf_overhead * (n - 1)): contention/backoff
-    /// overhead grows with the active-station count.
-    double dcf_overhead = 0.03;
-  };
+  /// eff(n) = 1 / (1 + kDcfOverhead * (n - 1)): contention/backoff
+  /// overhead grows with the active-station count.
+  static constexpr double kDcfOverhead = 0.03;
 
-  WifiCell(Simulator& sim, CellConfig cfg, Options opt)
-      : CellBase(sim, std::move(cfg)), opt_(opt) {}
-  WifiCell(Simulator& sim, CellConfig cfg) : WifiCell(sim, std::move(cfg), Options{}) {}
+  WifiCell(Simulator& sim, CellConfig cfg) : CellBase(sim, std::move(cfg)) {}
 
-  [[nodiscard]] double efficiency(int n) const {
-    return n <= 1 ? 1.0 : 1.0 / (1.0 + opt_.dcf_overhead * (n - 1));
+  [[nodiscard]] static double efficiency(int n) {
+    return n <= 1 ? 1.0 : 1.0 / (1.0 + kDcfOverhead * (n - 1));
   }
 
  protected:
   int select_grants(std::int64_t tick_index, Grant* plan) override;
-
- private:
-  Options opt_;
 };
 
 /// Proportional-fair LTE downlink sector.
 class LteSector final : public CellBase {
  public:
+  /// PF candidate window per tick.  Selection is exact PF whenever the
+  /// active-UE count fits the window; beyond it the window rotates
+  /// through the ring so every UE is considered within
+  /// ceil(active / window) ticks — a standard bounded-work
+  /// approximation.
+  static constexpr int kPfWindow = 64;
+  /// EWMA horizon in ticks (classic PF T).
+  static constexpr double kEwmaTicks = 100.0;
+
   struct Options {
-    /// PF candidate window per tick.  Selection is exact PF whenever the
-    /// active-UE count fits the window; beyond it the window rotates
-    /// through the ring so every UE is considered within
-    /// ceil(active / window) ticks — a standard bounded-work
-    /// approximation.
-    int pf_window = 64;
-    /// EWMA horizon in ticks (classic PF T).
-    double ewma_ticks = 100.0;
     /// Deterministic fast fading: inst rate uniform in
     /// phy * [1 - depth, 1 + depth], hashed from (cell seed, UE tag,
     /// tick index).
@@ -277,7 +273,8 @@ class LteSector final : public CellBase {
     std::uint64_t fading_seed = 0x9e3779b97f4a7c15ull;
   };
 
-  LteSector(Simulator& sim, CellConfig cfg, Options opt);
+  LteSector(Simulator& sim, CellConfig cfg, Options opt)
+      : CellBase(sim, std::move(cfg)), opt_(opt) {}
   LteSector(Simulator& sim, CellConfig cfg) : LteSector(sim, std::move(cfg), Options{}) {}
 
   /// Exposed for tests: the fading factor UE `tag` sees at `tick_index`.
@@ -289,12 +286,9 @@ class LteSector final : public CellBase {
                     std::int64_t tick_index) override;
 
  private:
-  [[nodiscard]] double decay_pow(std::int64_t ticks) const;
-
   Options opt_;
-  std::vector<UeSnapshot> snaps_;  // selection scratch, sized pf_window
-  std::vector<double> metrics_;    // PF metric of each snapshot, sized pf_window
-  std::span<const double> decay_;  // (1 - 1/T)^i, shared by every sector with this T
+  std::array<UeSnapshot, kPfWindow> snaps_;  // selection scratch
+  std::array<double, kPfWindow> metrics_;    // PF metric of each snapshot
 };
 
 }  // namespace mn::world

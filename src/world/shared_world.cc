@@ -12,36 +12,15 @@ namespace mn::world {
 
 namespace {
 
-CellConfig make_cell_cfg(std::string name, const WorldOptions& opt, int grants_per_tick,
-                         Backhaul* backhaul, std::size_t capacity) {
-  CellConfig cfg;
-  cfg.name = std::move(name);
-  cfg.service_tick = opt.service_tick;
-  cfg.grants_per_tick = grants_per_tick;
-  cfg.backhaul = backhaul;
-  cfg.station_capacity = capacity;
-  return cfg;
-}
+/// Per-venue backhaul shared by its WiFi cell and LTE sector: its rate
+/// and its token-bucket depth.
+constexpr double kBackhaulMbps = 40.0;
+constexpr Duration kBackhaulBurst = msec(20);
 
-WifiCell::Options wifi_opts(const WorldOptions& opt) {
-  WifiCell::Options o;
-  o.dcf_overhead = opt.dcf_overhead;
-  return o;
-}
-
-LteSector::Options lte_opts(const WorldOptions& opt, std::uint64_t seed) {
-  LteSector::Options o;
-  o.pf_window = opt.pf_window;
-  o.ewma_ticks = opt.pf_ewma_ticks;
-  o.fading_depth = opt.fading_depth;
-  o.fading_seed = seed;
-  return o;
-}
-
-std::uint32_t venues_for(int n_users, const WorldOptions& opt) {
+std::uint32_t venues_for(int n_users) {
   const auto n = static_cast<std::size_t>(std::max(0, n_users));
-  const auto per_cell = static_cast<std::size_t>(std::max(1, opt.users_per_cell));
-  return static_cast<std::uint32_t>(std::max<std::size_t>(1, (n + per_cell - 1) / per_cell));
+  constexpr auto kPerVenue = static_cast<std::size_t>(kUsersPerVenue);
+  return static_cast<std::uint32_t>(std::max<std::size_t>(1, (n + kPerVenue - 1) / kPerVenue));
 }
 
 }  // namespace
@@ -49,7 +28,7 @@ std::uint32_t venues_for(int n_users, const WorldOptions& opt) {
 ClusterPlan plan_cluster(const ClusterSpec& spec, int n_users, const WorldOptions& opt) {
   ClusterPlan plan;
   plan.name = spec.name;
-  plan.venues = venues_for(n_users, opt);
+  plan.venues = venues_for(n_users);
   plan.users.resize(static_cast<std::size_t>(std::max(0, n_users)));
   // The event loop itself is randomness-free (the PF fading hash is a
   // pure function, not a stream).
@@ -73,8 +52,22 @@ ClusterPlan plan_cluster(const ClusterSpec& spec, int n_users, const WorldOption
 
 ClusterWorld::ClusterWorld(Simulator& sim, const ClusterSpec& spec, int n_users,
                            const WorldOptions& opt)
-    : ClusterWorld(sim, plan_cluster(spec, n_users, opt), 0,
-                   venues_for(n_users, opt), opt) {}
+    : ClusterWorld(sim, plan_cluster(spec, n_users, opt), 0, venues_for(n_users), opt) {}
+
+ClusterWorld::Venue::Venue(Simulator& sim, const std::string& base, std::size_t capacity,
+                           std::uint64_t fading_seed)
+    : backhaul(kBackhaulMbps, kBackhaulBurst),
+      wifi(sim, cell_config(base + ".wifi", capacity)),
+      lte(sim, cell_config(base + ".lte", capacity),
+          LteSector::Options{.fading_seed = fading_seed}) {}
+
+CellConfig ClusterWorld::Venue::cell_config(std::string name, std::size_t capacity) {
+  CellConfig cfg;
+  cfg.name = std::move(name);
+  cfg.backhaul = &backhaul;
+  cfg.station_capacity = capacity;
+  return cfg;
+}
 
 ClusterWorld::ClusterWorld(Simulator& sim, const ClusterPlan& plan, std::uint32_t first_venue,
                            std::uint32_t last_venue, const WorldOptions& opt)
@@ -83,17 +76,11 @@ ClusterWorld::ClusterWorld(Simulator& sim, const ClusterPlan& plan, std::uint32_
   stats_.name = plan.name;
   const std::size_t n = plan.users.size();
   const std::size_t capacity = std::max<std::size_t>(1, (n + plan.venues - 1) / plan.venues);
-  const bool use_backhaul = opt.backhaul_mbps > 0;
   venues_.reserve(last_venue - first_venue);
   for (std::uint32_t v = first_venue; v < last_venue; ++v) {
     const std::string base = plan.name + ".v" + std::to_string(v);
-    venues_.push_back(std::make_unique<Venue>(
-        sim, Backhaul(use_backhaul ? opt.backhaul_mbps : 1e9, opt.backhaul_burst),
-        use_backhaul,
-        make_cell_cfg(base + ".wifi", opt, opt.wifi_grants_per_tick, nullptr, capacity),
-        wifi_opts(opt),
-        make_cell_cfg(base + ".lte", opt, opt.lte_grants_per_tick, nullptr, capacity),
-        lte_opts(opt, mix_seed(opt.seed, "fading." + base))));
+    venues_.push_back(
+        std::make_unique<Venue>(sim, base, capacity, mix_seed(opt.seed, "fading." + base)));
   }
   // The held venues' users in global order, which is also their row-major
   // storage order (see user()).
@@ -132,7 +119,7 @@ void ClusterWorld::begin_phase(std::uint32_t i, std::uint8_t phase) {
     return;
   }
   const bool mptcp = phase == kMptcp;
-  const bool skipped = mptcp ? !opt_.mptcp_probe || std::ranges::any_of(u.skip, std::identity{})
+  const bool skipped = mptcp ? std::ranges::any_of(u.skip, std::identity{})
                              : u.skip[static_cast<PathId>(phase)];
   if (skipped) {
     begin_phase(i, static_cast<std::uint8_t>(phase + 1));

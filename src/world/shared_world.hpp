@@ -1,14 +1,19 @@
 // The shared-infrastructure world: many concurrent users contending
 // for the cells of cell.hpp.
 //
-// Each Table-1 cluster is a set of *venues* — each one WifiCell + one
-// LteSector sharing one Backhaul (the coffee shop's AP, the overhead
-// sector, and the shop's uplink) —
+// Each Table-1 cluster is a set of *venues* of up to kUsersPerVenue
+// users — each one WifiCell + one LteSector sharing one Backhaul (the
+// coffee shop's AP, the overhead sector, and the shop's uplink) —
 // plus n fluid user flows that replay the paper's measurement
-// protocol: every user runs a WiFi bulk probe, then
-// an LTE bulk probe, then (optionally) an MPTCP probe attached to BOTH
+// protocol: every user runs a WiFi bulk probe, then an LTE bulk probe,
+// then (unless it skipped a network) an MPTCP probe attached to BOTH
 // cells at once — grants from either cell drain one shared backlog,
 // which is exactly the aggregation-throughput question of Figure 7.
+// The venue's cells run at CellConfig's default tick and grant count,
+// WifiCell's DCF overhead and LteSector's PF window and EWMA horizon;
+// its backhaul is kBackhaulMbps with a kBackhaulBurst bucket
+// (shared_world.cc).  The paper measured one fixed protocol, so none of
+// these is an option.
 // Flows are fluid (byte backlogs served by grants, no per-packet
 // events), which is what makes 10^5-10^6 concurrent users tractable:
 // event count scales with cell service ticks, not with packets.  Full
@@ -45,11 +50,15 @@
 
 namespace mn::world {
 
+/// Users per venue (one WifiCell + LteSector + Backhaul).  A cluster
+/// with n users gets ceil(n / kUsersPerVenue) venues and users are
+/// dealt round-robin, so cell contention stays at realistic AP density
+/// no matter how many users the cluster holds.
+inline constexpr int kUsersPerVenue = 64;
+
 struct WorldOptions {
   /// Bytes per probe transfer (the paper's fixed 1 MB bulk download).
   std::int64_t transfer_bytes = 1'000'000;
-  /// Run the third, dual-attached MPTCP probe after the two singles.
-  bool mptcp_probe = true;
   /// Probability a user skips one technology (the paper's incomplete
   /// runs); skipped users never enter the LTE-win denominator.
   double incomplete_probability = 0.0;
@@ -59,31 +68,12 @@ struct WorldOptions {
   /// study thundering-herd overload, where the WiFi-first protocol
   /// piles every arrival onto the APs and LTE wins almost everywhere.
   double arrival_window_s = 60.0;
-
-  // -- contention model ----------------------------------------------
-  /// Users per venue (one WifiCell + LteSector + Backhaul).  A cluster
-  /// with n users gets ceil(n / users_per_cell) venues and users are
-  /// dealt round-robin, so cell contention stays at realistic AP
-  /// density no matter how many users the cluster holds.
-  int users_per_cell = 64;
-  Duration service_tick = msec(5);
-  int wifi_grants_per_tick = 8;
-  int lte_grants_per_tick = 8;
-  double dcf_overhead = 0.03;
-  int pf_window = 64;
-  double pf_ewma_ticks = 100.0;
-  double fading_depth = 0.4;
-  /// Per-venue backhaul shared by its WiFi cell and LTE sector;
-  /// <= 0 disables the bottleneck.
-  double backhaul_mbps = 40.0;
-  Duration backhaul_burst = msec(20);
-
   std::uint64_t seed = 20130901;
   /// false -> width-1 scalar dispatch (golden tests; results identical).
   bool batch_dispatch = true;
   /// Worker threads for run_world: 0/1 = serial, negative = follow
   /// MN_THREADS (serial when it is unset).
-  int parallelism = 0;
+  int parallelism = -1;
 };
 
 /// One user's plan-phase draws.
@@ -105,7 +95,7 @@ struct ClusterPlan {
 
 /// Every random draw of one cluster, in user order: both rates, both
 /// delays, incomplete, skip side, arrival.  The cluster gets
-/// ceil(n_users / opt.users_per_cell) venues.
+/// ceil(n_users / kUsersPerVenue) venues.
 [[nodiscard]] ClusterPlan plan_cluster(const ClusterSpec& spec, int n_users,
                                        const WorldOptions& opt);
 
@@ -138,23 +128,17 @@ class ClusterWorld final : public GrantSink {
     Backhaul backhaul;  // initialized first: the cells point at it
     WifiCell wifi;
     LteSector lte;
-    Venue(Simulator& sim, Backhaul bh, bool use_backhaul, CellConfig wifi_cfg,
-          WifiCell::Options wopt, CellConfig lte_cfg, LteSector::Options lopt)
-        : backhaul(bh),
-          wifi(sim, with_backhaul(std::move(wifi_cfg), use_backhaul ? &backhaul : nullptr),
-               wopt),
-          lte(sim, with_backhaul(std::move(lte_cfg), use_backhaul ? &backhaul : nullptr),
-              lopt) {}
+    /// Cells "<base>.wifi" and "<base>.lte", each pre-sized for
+    /// `capacity` stations, behind the venue's backhaul.
+    Venue(Simulator& sim, const std::string& base, std::size_t capacity,
+          std::uint64_t fading_seed);
     /// The cell serving network `p`.
     [[nodiscard]] CellBase& cell(PathId p) {
       return p == PathId::kWifi ? static_cast<CellBase&>(wifi) : lte;
     }
 
    private:
-    static CellConfig with_backhaul(CellConfig c, Backhaul* b) {
-      c.backhaul = b;
-      return c;
-    }
+    CellConfig cell_config(std::string name, std::size_t capacity);
   };
   /// A user's probes run in phase order: phase p < kMptcp is the
   /// single-path probe on network PathId(p), then the dual-attached

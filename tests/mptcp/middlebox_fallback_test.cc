@@ -95,7 +95,7 @@ TEST(MiddleboxFallback, StrippedJoinRejectsSubflowButKeepsPrimary) {
   EXPECT_FALSE(r.achieved_mp);
   EXPECT_EQ(r.fallback_reason, "join_rejected");
   // Every allowed attempt was made (capped backoff), then we gave up.
-  EXPECT_EQ(r.join_attempts, MptcpSpec{}.join_max_attempts);
+  EXPECT_EQ(r.join_attempts, kJoinMaxAttempts);
 }
 
 TEST(MiddleboxFallback, MidFlowMangleDrainsOnSurvivingSubflow) {

@@ -219,7 +219,7 @@ TEST_F(RemoteStoreTest, ServerKilledMidSessionDegradesThenRecovers) {
   EXPECT_GT(client.stats().degraded, 0u);
 
   // A new server over the same directory serves the old record; the
-  // client reconnects through its breaker within max_skip operations.
+  // client reconnects through its breaker within its 64-operation skip cap.
   start_server();
   std::optional<std::string> back;
   for (int i = 0; i < 200 && !back; ++i) back = client.lookup(key_of(5, 5));

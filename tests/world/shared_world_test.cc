@@ -117,7 +117,6 @@ TEST(SharedWorld, VenueCountScalesWithUsers) {
   Simulator sim;
   const auto world = table1_world();
   WorldOptions opt = small_opts();
-  opt.users_per_cell = 64;
   ClusterWorld small(sim, world[0], 10, opt);
   EXPECT_EQ(small.venue_count(), 1u);
   Simulator sim2;
