@@ -74,6 +74,22 @@ TEST(SweepFlowSizes, DeterministicAcrossCalls) {
   EXPECT_DOUBLE_EQ(a[0].throughput_mbps, b[0].throughput_mbps);
 }
 
+// Braced empty options are the default options: they sweep downloads.
+// The uplinks are far slower than the downlinks, so an upload sweep shows.
+TEST(SweepFlowSizes, BracedOptionsSweepDownloads) {
+  auto setup = net();
+  for (PathId p : kPaths) setup.paths[p].up.rate_mbps = 2.0;
+  const std::vector<std::int64_t> sizes{200'000};
+  const auto cfg = TransportConfig::single_path(PathId::kWifi);
+  const auto braced = sweep_flow_sizes(setup, cfg, sizes, {});
+  const auto defaulted = sweep_flow_sizes(setup, cfg, sizes);
+  const auto download =
+      sweep_flow_sizes(setup, cfg, sizes, SweepOptions{.dir = Direction::kDownload});
+  EXPECT_EQ(braced[0].throughput_mbps, download[0].throughput_mbps);
+  EXPECT_EQ(defaulted[0].throughput_mbps, download[0].throughput_mbps);
+  EXPECT_EQ(braced[0].completion_time.millis(), download[0].completion_time.millis());
+}
+
 // Golden determinism check of the parallel sweep: every point is a pure
 // function of (net, config, size, dir), so the worker count must never
 // change a bit of any result.
