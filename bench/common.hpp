@@ -5,15 +5,8 @@
 // and ASCII plots).  Benches read MN_RUN_SCALE (default 1.0) to shrink
 // heavyweight sweeps during development; results at reduced scale are
 // noisier but structurally identical.
-// Perf emission: when MN_BENCH_JSON=<path> is set, every binary that
-// includes this header writes {wall_s, events, events_per_s, allocs,
-// peak_rss_bytes} JSON to <path> at process exit (see PerfJsonAtExit
-// below).  The
-// bench/perf_trajectory driver aggregates those into the repo-level
-// BENCH_<label>.json trajectory files.
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
@@ -21,9 +14,7 @@
 #include <string>
 #include <vector>
 
-#include "sim/simulator.hpp"
 #include "util/ascii_plot.hpp"
-#include "util/inplace_function.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 
@@ -51,20 +42,6 @@ inline double env_scale(const char* name = "MN_RUN_SCALE", double fallback = 1.0
   return fallback;
 }
 
-/// MN_BENCH_REPS (default 1): in-process repetitions of a macro bench's
-/// workload.  Process startup — exec, static init, first-touch page
-/// faults — costs about as much wall clock as one whole workload body
-/// at default scale, so a single-shot run understates engine
-/// throughput by ~2x.  The perf_trajectory driver sets this so the
-/// events/s record measures steady state, not cold start.
-inline int env_reps() {
-  if (const char* v = std::getenv("MN_BENCH_REPS")) {
-    const int r = std::atoi(v);
-    if (r > 0) return r;
-  }
-  return 1;
-}
-
 /// Downsampled CDF curve of a distribution, ready for render_plot.
 inline Series cdf_series(const EmpiricalDistribution& dist, std::string name,
                          int points = 120) {
@@ -85,9 +62,9 @@ inline double relative_diff_pct(double a, double b) {
 }
 
 /// Peak resident set size of this process in bytes (Linux VmHWM from
-/// /proc/self/status), or -1 where unavailable.  Benches record it next
+/// /proc/self/status), or -1 where unavailable.  Benches print it next
 /// to events/s so memory-bounded claims — streaming aggregation instead
-/// of per-run vectors — are machine-checked, not asserted in prose.
+/// of per-run vectors — are measured, not asserted in prose.
 inline std::int64_t read_peak_rss_bytes() {
   std::ifstream in("/proc/self/status");
   if (!in) return -1;
@@ -101,39 +78,5 @@ inline std::int64_t read_peak_rss_bytes() {
   }
   return -1;
 }
-
-namespace detail {
-
-/// Writes the perf record for this process to $MN_BENCH_JSON at exit:
-///   wall_s        wall-clock from static init to exit (steady clock —
-///                 the only wall-clock use in the tree, and it never
-///                 feeds back into simulated behaviour)
-///   events        simulator events fired process-wide
-///   events_per_s  the headline engine-throughput number
-///   allocs        InplaceFunction heap fallbacks — 0 proves the
-///                 per-event path stayed allocation-free
-///   peak_rss_bytes  process peak RSS (VmHWM; -1 off-Linux) — pins the
-///                 bounded-memory claims of the streaming aggregators
-/// One inline instance per bench binary; no-op when the env var is unset.
-struct PerfJsonAtExit {
-  std::chrono::steady_clock::time_point start = std::chrono::steady_clock::now();
-  ~PerfJsonAtExit() {
-    const char* path = std::getenv("MN_BENCH_JSON");
-    if (!path || !*path) return;
-    const double wall_s =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-    const std::uint64_t events = Simulator::process_events_fired();
-    const std::uint64_t allocs = inplace_function_heap_fallbacks();
-    const std::int64_t peak_rss = read_peak_rss_bytes();
-    std::ofstream out(path);
-    if (!out) return;
-    out << "{\"wall_s\": " << wall_s << ", \"events\": " << events
-        << ", \"events_per_s\": " << (wall_s > 0.0 ? static_cast<double>(events) / wall_s : 0.0)
-        << ", \"allocs\": " << allocs << ", \"peak_rss_bytes\": " << peak_rss << "}\n";
-  }
-};
-inline PerfJsonAtExit g_perf_json_at_exit;
-
-}  // namespace detail
 
 }  // namespace mn::bench

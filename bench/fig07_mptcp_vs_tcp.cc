@@ -62,16 +62,7 @@ int main() {
       "large flow sizes; in both, short flows favour the right single path.");
 
   const auto& locs = table2_locations();
-  // MN_BENCH_REPS > 1 repeats the whole figure in-process so the
-  // MN_BENCH_JSON events/s record reflects steady-state engine
-  // throughput rather than process cold start (the figure itself is
-  // identical every repetition — the workload is deterministic).
-  const int reps = bench::env_reps();
-  for (int r = 0; r < reps; ++r) {
-    run_location(locs[0], "(a) disparate links",
-                 "MPTCP worse than best TCP at every flow size");
-    run_location(locs[10], "(b) comparable links",
-                 "MPTCP better than best TCP at 1 MB");
-  }
+  run_location(locs[0], "(a) disparate links", "MPTCP worse than best TCP at every flow size");
+  run_location(locs[10], "(b) comparable links", "MPTCP better than best TCP at 1 MB");
   return 0;
 }

@@ -22,7 +22,7 @@ std::vector<std::pair<double, double>> tput_curve(
   return pts;
 }
 
-void run_case(const MpNetworkSetup& setup, PathId primary, const char* label) {
+double run_case(const MpNetworkSetup& setup, PathId primary, const char* label) {
   Simulator sim;
   const auto r = run_mptcp_flow(sim, setup, MptcpSpec{primary, CcAlgo::kDecoupled},
                                 4'000'000, Direction::kDownload, sec(30));
@@ -41,8 +41,9 @@ void run_case(const MpNetworkSetup& setup, PathId primary, const char* label) {
   plot.x_min = 0.0;
   plot.x_max = 2.0;
   std::cout << render_plot(series, plot);
-  std::cout << "  MPTCP avg tput at t=2s: "
-            << Table::num(timeline_throughput_at(r.timeline, sec(2)), 2) << " mbps\n";
+  const double at2 = timeline_throughput_at(r.timeline, sec(2));
+  std::cout << "  MPTCP avg tput at t=2s: " << Table::num(at2, 2) << " mbps\n";
+  return at2;
 }
 
 }  // namespace
@@ -58,27 +59,9 @@ int main() {
 
   // LA Airport: WiFi 4 vs LTE 15 Mbit/s.
   const auto setup = location_setup(table2_locations()[16], /*seed=*/4);
-  run_case(setup, PathId::kWifi, "a");
-  run_case(setup, PathId::kLte, "b");
+  const double wifi_primary = run_case(setup, PathId::kWifi, "a");
+  const double lte_primary = run_case(setup, PathId::kLte, "b");
 
-  double wifi_primary = 0.0;
-  double lte_primary = 0.0;
-  {
-    Simulator sim;
-    wifi_primary = timeline_throughput_at(
-        run_mptcp_flow(sim, setup, MptcpSpec{PathId::kWifi, CcAlgo::kDecoupled},
-                       4'000'000, Direction::kDownload, sec(30))
-            .timeline,
-        sec(2));
-  }
-  {
-    Simulator sim;
-    lte_primary = timeline_throughput_at(
-        run_mptcp_flow(sim, setup, MptcpSpec{PathId::kLte, CcAlgo::kDecoupled},
-                       4'000'000, Direction::kDownload, sec(30))
-            .timeline,
-        sec(2));
-  }
   bench::print_measured("avg tput at 2 s: LTE-primary " + Table::num(lte_primary, 2) +
                         " vs WiFi-primary " + Table::num(wifi_primary, 2) + " mbps -> " +
                         (lte_primary > wifi_primary ? "LTE-primary higher (as in paper)"

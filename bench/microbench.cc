@@ -12,7 +12,6 @@
 #include "common.hpp"
 #include "core/experiment.hpp"
 #include "energy/power_model.hpp"
-#include "measure/campaign.hpp"
 #include "net/trace_gen.hpp"
 #include "obs/obs.hpp"
 #include "sim/simulator.hpp"
@@ -329,55 +328,6 @@ void BM_RemoteStoreLookup(benchmark::State& state) {
   std::filesystem::remove_all(base);
 }
 BENCHMARK(BM_RemoteStoreLookup);
-
-// Cold vs warm campaign through the store: cold pays full simulation
-// plus the append, warm replays from cache.  The ratio is the headline
-// number of the result-store PR (warm must be >= 10x faster).
-void BM_CampaignColdCache(benchmark::State& state) {
-  const std::vector<ClusterSpec> world{
-      make_cluster("A", {40.0, -70.0}, 12, 0.10, 14.0),
-      make_cluster("B", {10.0, 100.0}, 12, 0.85, 4.0)};
-  CampaignOptions opt;
-  opt.incomplete_probability = 0.0;
-  opt.parallelism = 0;
-  const std::string dir =
-      (std::filesystem::temp_directory_path() / "mn_bench_store_cold").string();
-  for (auto _ : state) {
-    state.PauseTiming();
-    std::filesystem::remove_all(dir);
-    state.ResumeTiming();
-    store::RunStore store{dir};
-    opt.store = &store;
-    const auto runs = run_campaign(world, opt);
-    benchmark::DoNotOptimize(runs.size());
-  }
-  std::filesystem::remove_all(dir);
-}
-BENCHMARK(BM_CampaignColdCache)->Unit(benchmark::kMillisecond);
-
-void BM_CampaignWarmCache(benchmark::State& state) {
-  const std::vector<ClusterSpec> world{
-      make_cluster("A", {40.0, -70.0}, 12, 0.10, 14.0),
-      make_cluster("B", {10.0, 100.0}, 12, 0.85, 4.0)};
-  CampaignOptions opt;
-  opt.incomplete_probability = 0.0;
-  opt.parallelism = 0;
-  const std::string dir =
-      (std::filesystem::temp_directory_path() / "mn_bench_store_warm").string();
-  std::filesystem::remove_all(dir);
-  {
-    store::RunStore store{dir};
-    opt.store = &store;
-    const auto prime = run_campaign(world, opt);  // populate the cache
-    benchmark::DoNotOptimize(prime.size());
-    for (auto _ : state) {
-      const auto runs = run_campaign(world, opt);
-      benchmark::DoNotOptimize(runs.size());
-    }
-  }
-  std::filesystem::remove_all(dir);
-}
-BENCHMARK(BM_CampaignWarmCache)->Unit(benchmark::kMillisecond);
 
 void BM_PoissonTraceGen(benchmark::State& state) {
   for (auto _ : state) {

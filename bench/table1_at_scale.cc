@@ -8,12 +8,11 @@
 // *shared* cells — airtime-fair WiFi APs, proportional-fair LTE
 // sectors, venue backhauls — with O(clusters) aggregation memory?
 //
-// Engine claims this bench machine-checks (via the MN_BENCH_JSON hook):
+// Engine figures this bench prints:
 //   users/s         one simulator event per cell service tick (events/s
 //                   is printed too, but events per user is a property of
 //                   the cell model, so only users/s compares across it)
-//   allocs == 0     steady state stays off the heap fallback path
-//   peak_rss_bytes  streaming sketches, not per-run vectors — memory is
+//   peak RSS        streaming sketches, not per-run vectors — memory is
 //                   bounded by clusters x sketch size, not user count
 //
 // Knobs: MN_WORLD_USERS (exact user count; beats scaling) or
@@ -51,20 +50,18 @@ int main() {
 
   const double scale = bench::env_scale();
   const std::uint64_t users = env_users(scale);
-  const int reps = bench::env_reps();
 
   world::WorldOptions opt;
   opt.incomplete_probability = 0.08;  // the paper's incomplete-run share
 
   const auto clusters = table1_world();
-  world::WorldResult result;
   const auto t0 = std::chrono::steady_clock::now();
-  for (int r = 0; r < reps; ++r) result = world::run_world(clusters, users, opt);
+  const world::WorldResult result = world::run_world(clusters, users, opt);
   const double wall_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
 
   std::cout << "world: " << users << " users over " << clusters.size()
-            << " clusters (scale " << scale << ", reps " << reps << ")\n\n";
+            << " clusters (scale " << scale << ")\n\n";
   result.stats.table1().print(std::cout);
 
   std::uint64_t started = 0;
@@ -74,8 +71,8 @@ int main() {
     completed += result.stats.cluster(i).users_completed;
   }
   const double events_per_s =
-      wall_s > 0.0 ? static_cast<double>(result.events_fired) * reps / wall_s : 0.0;
-  const double users_per_s = wall_s > 0.0 ? static_cast<double>(users) * reps / wall_s : 0.0;
+      wall_s > 0.0 ? static_cast<double>(result.events_fired) / wall_s : 0.0;
+  const double users_per_s = wall_s > 0.0 ? static_cast<double>(users) / wall_s : 0.0;
   const std::int64_t rss = bench::read_peak_rss_bytes();
 
   std::cout << "\n";
@@ -83,7 +80,7 @@ int main() {
                         " users completed; sim horizon " +
                         std::to_string(result.sim_horizon_s) + " s");
   bench::print_measured(std::to_string(result.events_fired) + " events in " +
-                        std::to_string(wall_s / reps) + " s wall per rep (" +
+                        std::to_string(wall_s) + " s wall (" +
                         std::to_string(events_per_s) + " events/s, " +
                         std::to_string(users_per_s) + " users/s)");
   bench::print_measured("aggregation memory: " +

@@ -155,13 +155,4 @@ std::vector<SweepPoint> sweep_flow_sizes(const MpNetworkSetup& net,
       serialize_sweep_point, parse_sweep_point);
 }
 
-std::vector<SweepPoint> sweep_flow_sizes(const MpNetworkSetup& net,
-                                         const TransportConfig& config,
-                                         const std::vector<std::int64_t>& sizes,
-                                         Direction dir) {
-  SweepOptions options;
-  options.dir = dir;
-  return sweep_flow_sizes(net, config, sizes, options);
-}
-
 }  // namespace mn

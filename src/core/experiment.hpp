@@ -78,10 +78,6 @@ struct SweepOptions {
 [[nodiscard]] std::vector<SweepPoint> sweep_flow_sizes(const MpNetworkSetup& net,
                                                        const TransportConfig& config,
                                                        const std::vector<std::int64_t>& sizes,
-                                                       const SweepOptions& options);
-
-[[nodiscard]] std::vector<SweepPoint> sweep_flow_sizes(
-    const MpNetworkSetup& net, const TransportConfig& config,
-    const std::vector<std::int64_t>& sizes, Direction dir = Direction::kDownload);
+                                                       const SweepOptions& options = {});
 
 }  // namespace mn

@@ -1,6 +1,7 @@
 #include "measure/locations20.hpp"
 
 #include <algorithm>
+#include <string>
 
 #include "net/trace_gen.hpp"
 
@@ -48,44 +49,53 @@ const std::vector<Location20>& table2_locations() {
   return locations;
 }
 
+namespace {
+
+/// How one network's links vary around a location's rate.
+struct LinkModel {
+  double good_factor;  // clear-channel rate over the location's rate
+  double bad_factor;   // busy-channel rate over the location's rate
+  Duration mean_dwell;
+  int queue_packets;
+  double loss_rate;
+};
+
+// Contention episodes: the channel alternates between clear and busy
+// (other stations, other subscribers), which is what makes repeated runs
+// at the same cafe differ — the paper's run-to-run noise.  WiFi keeps a
+// residual wireless loss after link-layer ARQ; LTE buffers more
+// (cellular bufferbloat) and HARQ hides most of its loss.
+constexpr PerPath<LinkModel> kLinkModels{
+    LinkModel{1.3, 0.45, msec(250), 64, 0.004},
+    LinkModel{1.4, 0.4, msec(300), 120, 0.002},
+};
+
+}  // namespace
+
 MpNetworkSetup location_setup(const Location20& loc, std::uint64_t seed) {
   Rng rng{seed * 1000003ULL + static_cast<std::uint64_t>(loc.id)};
-  auto wifi_link = [&](const char* label) {
+  const PerPath<double> mbps{loc.wifi_mbps, loc.lte_mbps};
+  const PerPath<Duration> one_way{loc.wifi_one_way, loc.lte_one_way};
+  auto link = [&](PathId p, const char* dir) {
+    const LinkModel& m = kLinkModels[p];
     LinkSpec s;
-    Rng r = rng.fork(label);
-    // Contention episodes: the channel alternates between clear and
-    // busy (other stations), which is what makes repeated runs at the
-    // same cafe differ — the paper's run-to-run noise.
+    Rng r = rng.fork(std::string{path_name(p)} + "-" + dir);
     TwoStateSpec ts;
-    ts.good_mbps = loc.wifi_mbps * 1.3;
-    ts.bad_mbps = std::max(0.3, loc.wifi_mbps * 0.45);
-    ts.mean_dwell = msec(250);
+    ts.good_mbps = mbps[p] * m.good_factor;
+    ts.bad_mbps = std::max(0.3, mbps[p] * m.bad_factor);
+    ts.mean_dwell = m.mean_dwell;
     s.trace = std::make_shared<DeliveryTrace>(two_state_trace(ts, sec(2), r));
-    s.one_way_delay = loc.wifi_one_way;
-    s.queue_packets = 64;
-    s.loss_rate = 0.004;  // residual wireless loss after link-layer ARQ
-    s.loss_seed = r.next_u64();
-    return s;
-  };
-  auto lte_link = [&](const char* label) {
-    LinkSpec s;
-    Rng r = rng.fork(label);
-    TwoStateSpec ts;
-    ts.good_mbps = loc.lte_mbps * 1.4;
-    ts.bad_mbps = std::max(0.3, loc.lte_mbps * 0.4);
-    ts.mean_dwell = msec(300);
-    s.trace = std::make_shared<DeliveryTrace>(two_state_trace(ts, sec(2), r));
-    s.one_way_delay = loc.lte_one_way;
-    s.queue_packets = 120;  // cellular bufferbloat
-    s.loss_rate = 0.002;    // HARQ hides most cellular loss
+    s.one_way_delay = one_way[p];
+    s.queue_packets = m.queue_packets;
+    s.loss_rate = m.loss_rate;
     s.loss_seed = r.next_u64();
     return s;
   };
   MpNetworkSetup setup;
-  setup.paths[PathId::kWifi].up = wifi_link("wifi-up");
-  setup.paths[PathId::kWifi].down = wifi_link("wifi-down");
-  setup.paths[PathId::kLte].up = lte_link("lte-up");
-  setup.paths[PathId::kLte].down = lte_link("lte-down");
+  for (PathId p : kPaths) {
+    setup.paths[p].up = link(p, "up");
+    setup.paths[p].down = link(p, "down");
+  }
   return setup;
 }
 
